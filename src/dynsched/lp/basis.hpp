@@ -2,8 +2,23 @@
 //
 // The time-indexed instances have many columns but only (#jobs + #grid
 // points) rows, so an m×m dense inverse (m typically a few hundred) with
-// O(m²) product-form updates and periodic O(m³) refactorization is simple,
+// product-form updates and periodic Gauss–Jordan refactorization is simple,
 // fast enough, and numerically transparent.
+//
+// B^{-1} is stored column-major, and every kernel skips exact zeros of its
+// input, so the costs follow the sparsity the simplex feeds it:
+//   ftran      one contiguous axpy per nonzero of the rhs — O(m·nnz(rhs));
+//              entering columns have a handful of nonzeros.
+//   btran      one dot product per column over the rhs nonzeros —
+//              O(m·nnz(rhs)).
+//   update     O(m) plus O(nnz(alpha)) per column whose pivot-row entry is
+//              nonzero.
+//   factorize  O(m²) setup plus elimination over the nonzeros of each pivot
+//              row only; basis matrices are mostly slack unit columns.
+// Only exactly-zero terms are dropped, and every output element is formed by
+// the same operations in the same order as a plain dense row-major inverse,
+// so the results are bit-identical to it (tests/basis_test.cpp keeps that
+// reference and checks it).
 #pragma once
 
 #include <functional>
@@ -19,12 +34,12 @@ class DenseBasis {
 
   /// Rebuilds the inverse from scratch. `writeColumn(k, col)` must fill
   /// `col` (size m, pre-zeroed) with the k-th basis column. Returns false if
-  /// the basis matrix is numerically singular.
+  /// the basis matrix is numerically singular (the inverse is then stale).
   bool factorize(
       const std::function<void(int, std::vector<double>&)>& writeColumn);
 
   /// rhs := B^{-1} rhs (forward transformation). Not reentrant: uses the
-  /// basis's scratch buffer, so concurrent calls on one DenseBasis race
+  /// basis's scratch buffers, so concurrent calls on one DenseBasis race
   /// (each simplex owns its basis, so this never happens in-tree).
   void ftran(std::vector<double>& rhs) const;
 
@@ -42,14 +57,18 @@ class DenseBasis {
 
  private:
   int m_;
-  std::vector<double> inv_;  ///< row-major m×m
+  std::vector<double> inv_;  ///< column-major m×m
   // Reused work buffers: ftran/btran run once per simplex iteration and
   // factorize every few dozen pivots, so per-call vectors would dominate
-  // the solver's allocation count.
-  mutable std::vector<double> scratch_;   ///< ftran/btran output row
+  // the solver's allocation count. The index lists are reserved to m in the
+  // constructor and never grow.
+  mutable std::vector<double> scratch_;   ///< ftran/btran output
+  mutable std::vector<int> nonzeros_;     ///< btran/update input nonzeros;
+                                          ///< factorize: pivot row of B
+  std::vector<int> invNonzeros_;          ///< factorize: pivot row of B^{-1}
   std::vector<double> factorMat_;         ///< factorize: row-major B
+  std::vector<double> factorInv_;         ///< factorize: row-major B^{-1}
   std::vector<double> factorCol_;         ///< factorize: one basis column
-  std::vector<double> factorOrdered_;     ///< factorize: permuted inverse
   std::vector<int> rowOrder_;             ///< factorize: pivot permutation
   int updates_ = 0;
 };

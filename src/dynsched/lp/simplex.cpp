@@ -54,16 +54,8 @@ class Simplex {
     return isSlack(var) ? var - n_ : var - n_ - m_;
   }
 
-  double lower(int var) const {
-    if (var < n_) return model_.columnLower(var);
-    if (isSlack(var)) return model_.rowLower(rowOf(var));
-    return artificialLb_[static_cast<std::size_t>(rowOf(var))];
-  }
-  double upper(int var) const {
-    if (var < n_) return model_.columnUpper(var);
-    if (isSlack(var)) return model_.rowUpper(rowOf(var));
-    return artificialUb_[static_cast<std::size_t>(rowOf(var))];
-  }
+  double lower(int var) const { return lower_[static_cast<std::size_t>(var)]; }
+  double upper(int var) const { return upper_[static_cast<std::size_t>(var)]; }
   double cost(int var, bool phase1) const {
     if (phase1) return isArtificial(var) ? 1.0 : 0.0;
     return var < n_ ? model_.objectiveCoef(var) : 0.0;
@@ -108,6 +100,11 @@ class Simplex {
     DYNSCHED_CHECK(false);
   }
 
+  /// Pins every artificial at zero so none can re-enter in phase 2.
+  void freezeArtificials() {
+    std::fill(upper_.begin() + n_ + m_, upper_.end(), 0.0);
+  }
+
   bool refactorize();
   void computeBasicValues();
   double phaseObjective(bool phase1) const;
@@ -122,7 +119,9 @@ class Simplex {
   std::vector<double> xBasic_;
   std::vector<double> rhsScratch_;  ///< computeBasicValues work buffer
   std::vector<double> artificialSign_;  ///< per row: +1 / −1
-  std::vector<double> artificialLb_, artificialUb_;
+  /// Bounds of every variable (structural, slack, artificial), filled once
+  /// per solve so the pricing and ratio-test loops read plain arrays.
+  std::vector<double> lower_, upper_;
   long refactorCount_ = 0;
 };
 
@@ -208,6 +207,19 @@ LpSolution Simplex::solve() {
     return result;
   }
 
+  // Bounds: structural from the columns, slacks from the rows; artificials
+  // start fixed at 0 and the crash below opens the ones it needs.
+  lower_.assign(static_cast<std::size_t>(total_), 0.0);
+  upper_.assign(static_cast<std::size_t>(total_), 0.0);
+  for (int j = 0; j < n_; ++j) {
+    lower_[static_cast<std::size_t>(j)] = model_.columnLower(j);
+    upper_[static_cast<std::size_t>(j)] = model_.columnUpper(j);
+  }
+  for (int r = 0; r < m_; ++r) {
+    lower_[static_cast<std::size_t>(n_ + r)] = model_.rowLower(r);
+    upper_[static_cast<std::size_t>(n_ + r)] = model_.rowUpper(r);
+  }
+
   // --- Crash basis ------------------------------------------------------
   // Structural variables start at a finite bound (or free at 0). For each
   // row, if the resulting activity fits the row bounds, the slack itself is
@@ -235,8 +247,6 @@ LpSolution Simplex::solve() {
   }
   basisVars_.resize(static_cast<std::size_t>(m_));
   artificialSign_.assign(static_cast<std::size_t>(m_), 1.0);
-  artificialLb_.assign(static_cast<std::size_t>(m_), 0.0);
-  artificialUb_.assign(static_cast<std::size_t>(m_), 0.0);
   bool needPhase1 = false;
   for (int r = 0; r < m_; ++r) {
     const std::size_t sr = static_cast<std::size_t>(r);
@@ -257,7 +267,7 @@ LpSolution Simplex::solve() {
       // Row equation: A x − s ± a = 0  =>  a = ∓(A x − s) = ∓(act − pin).
       const double residual = act - pin;
       artificialSign_[sr] = residual > 0 ? -1.0 : 1.0;
-      artificialUb_[sr] = kInf;
+      upper_[static_cast<std::size_t>(artVar)] = kInf;
       basisVars_[sr] = artVar;
       status_[static_cast<std::size_t>(artVar)] = VarStatus::Basic;
       needPhase1 = true;
@@ -295,7 +305,7 @@ LpSolution Simplex::solve() {
     if (phase1 && phaseObjective(true) <= opts_.feasibilityTol) {
       phase1 = false;
       // Freeze artificials at zero so they can never re-enter.
-      for (int r = 0; r < m_; ++r) artificialUb_[static_cast<std::size_t>(r)] = 0.0;
+      freezeArtificials();
       degenerateRun = 0;
       bland = false;
     }
@@ -310,12 +320,11 @@ LpSolution Simplex::solve() {
     int entering = -1;
     int enterDir = 0;
     double bestScore = otol;
-    for (int var = 0; var < total_; ++var) {
+    // Artificials (the tail of the variable range) never re-enter.
+    for (int var = 0; var < n_ + m_; ++var) {
       const VarStatus st = status_[static_cast<std::size_t>(var)];
       if (st == VarStatus::Basic) continue;
-      if (isArtificial(var)) continue;  // artificials never re-enter
-      const double l = lower(var), u = upper(var);
-      if (l == u) continue;  // fixed variables never enter
+      if (lower(var) == upper(var)) continue;  // fixed variables never enter
       const double rc = cost(var, phase1) - dotColumn(var, y);
       int dir = 0;
       if ((st == VarStatus::AtLower || st == VarStatus::Free) && rc < -otol) {
@@ -347,8 +356,7 @@ LpSolution Simplex::solve() {
         if (result.status == LpStatus::Infeasible) return result;
         // Degenerate corner: feasible but phase flag not yet flipped.
         phase1 = false;
-        for (int r = 0; r < m_; ++r)
-          artificialUb_[static_cast<std::size_t>(r)] = 0.0;
+        freezeArtificials();
         continue;
       }
       hitIterationLimit = false;

@@ -1,10 +1,15 @@
 // Bounded-variable primal simplex (revised form, dense basis inverse).
 //
 // Handles general range rows and variable bounds. Infeasibility is resolved
-// by a composite phase 1 (minimize the sum of basic bound violations) that
-// needs no artificial variables: the slack basis is always a valid start,
-// and the same pivoting machinery drives both phases. Degeneracy falls back
-// to Bland's rule after a run of non-improving pivots.
+// by a classical two-phase start: the crash basis takes each row's slack
+// when the starting activity fits the row bounds, and otherwise a signed
+// artificial variable for that row (one per row is allocated). Phase 1
+// minimizes the sum of the artificials, which can only leave the basis:
+// pricing covers structural and slack columns alone. Once the sum reaches
+// zero the artificials are fixed at zero for phase 2. Every basis is primal
+// feasible in both phases, so one ratio test and one pivoting path serve
+// both. Degeneracy falls back to Bland's rule after a run of non-improving
+// pivots.
 //
 // This solver plays the role of the LP engine inside the branch-and-bound
 // "CPLEX substitute" (dynsched::mip); see DESIGN.md, substitutions.

@@ -1,7 +1,13 @@
 // Direct DenseBasis tests: factorization, FTRAN/BTRAN, product-form
-// updates, singular detection — validated against hand matrices and a
-// random-matrix property (B · ftran(e_i) = e_i).
+// updates, singular detection — validated against hand matrices, a
+// random-matrix property (B · ftran(e_i) = e_i), and bit for bit against
+// plain dense row-major reference kernels.
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -174,6 +180,267 @@ TEST_P(BasisRandomTest, FtranInvertsTheMatrix) {
 
 INSTANTIATE_TEST_SUITE_P(RandomMatrices, BasisRandomTest,
                          ::testing::Range<std::uint64_t>(5000, 5020));
+
+// ---------------------------------------------------------------------------
+// Bit identity against the dense reference.
+// ---------------------------------------------------------------------------
+
+/// Plain dense row-major kernels: every output element is a full dense sum.
+/// DenseBasis drops only exactly-zero terms and keeps each element's
+/// operations in the same order, so it must reproduce these results bit for
+/// bit — that is what keeps the simplex's pivot path, and with it the branch
+/// & bound search, the same as with these kernels.
+class ReferenceBasis {
+ public:
+  explicit ReferenceBasis(int m)
+      : m_(static_cast<std::size_t>(m)), inv_(m_ * m_, 0.0) {}
+
+  bool factorize(
+      const std::function<void(int, std::vector<double>&)>& writeColumn) {
+    const std::size_t m = m_;
+    std::vector<double> mat(m * m, 0.0);  // row-major B
+    std::vector<double> col(m, 0.0);
+    for (std::size_t k = 0; k < m; ++k) {
+      std::fill(col.begin(), col.end(), 0.0);
+      writeColumn(static_cast<int>(k), col);
+      for (std::size_t i = 0; i < m; ++i) mat[i * m + k] = col[i];
+    }
+    std::vector<double> inv(m * m, 0.0);
+    for (std::size_t i = 0; i < m; ++i) inv[i * m + i] = 1.0;
+    std::vector<std::size_t> rowOrder(m);
+    for (std::size_t i = 0; i < m; ++i) rowOrder[i] = i;
+    for (std::size_t k = 0; k < m; ++k) {
+      std::size_t pivotRow = k;
+      double best = std::fabs(mat[rowOrder[k] * m + k]);
+      for (std::size_t i = k + 1; i < m; ++i) {
+        const double v = std::fabs(mat[rowOrder[i] * m + k]);
+        if (v > best) {
+          best = v;
+          pivotRow = i;
+        }
+      }
+      if (best < 1e-11) return false;
+      std::swap(rowOrder[k], rowOrder[pivotRow]);
+      const std::size_t pr = rowOrder[k];
+      const double invPivot = 1.0 / mat[pr * m + k];
+      for (std::size_t j = 0; j < m; ++j) {
+        mat[pr * m + j] *= invPivot;
+        inv[pr * m + j] *= invPivot;
+      }
+      for (std::size_t i = 0; i < m; ++i) {
+        const std::size_t ri = rowOrder[i];
+        if (ri == pr) continue;
+        const double factor = mat[ri * m + k];
+        if (factor == 0.0) continue;
+        for (std::size_t j = 0; j < m; ++j) {
+          mat[ri * m + j] -= factor * mat[pr * m + j];
+          inv[ri * m + j] -= factor * inv[pr * m + j];
+        }
+      }
+    }
+    for (std::size_t k = 0; k < m; ++k) {
+      std::copy_n(&inv[rowOrder[k] * m], m, &inv_[k * m]);
+    }
+    return true;
+  }
+
+  void ftran(std::vector<double>& rhs) const {
+    std::vector<double> out(m_, 0.0);
+    for (std::size_t i = 0; i < m_; ++i) {
+      double sum = 0;
+      for (std::size_t j = 0; j < m_; ++j) sum += inv_[i * m_ + j] * rhs[j];
+      out[i] = sum;
+    }
+    rhs.swap(out);
+  }
+
+  void btran(std::vector<double>& rhs) const {
+    std::vector<double> out(m_, 0.0);
+    for (std::size_t i = 0; i < m_; ++i) {
+      const double v = rhs[i];
+      if (v == 0.0) continue;
+      for (std::size_t j = 0; j < m_; ++j) out[j] += inv_[i * m_ + j] * v;
+    }
+    rhs.swap(out);
+  }
+
+  void update(const std::vector<double>& alpha, std::size_t p) {
+    const double invPivot = 1.0 / alpha[p];
+    double* pivotRow = &inv_[p * m_];
+    for (std::size_t j = 0; j < m_; ++j) pivotRow[j] *= invPivot;
+    for (std::size_t i = 0; i < m_; ++i) {
+      if (i == p) continue;
+      const double factor = alpha[i];
+      if (factor == 0.0) continue;
+      double* row = &inv_[i * m_];
+      for (std::size_t j = 0; j < m_; ++j) row[j] -= factor * pivotRow[j];
+    }
+  }
+
+ private:
+  std::size_t m_;
+  std::vector<double> inv_;  ///< row-major m×m
+};
+
+/// Exact equality, down to the sign of zero.
+void expectBitIdentical(const std::vector<double>& actual,
+                        const std::vector<double>& expected,
+                        const std::string& what) {
+  ASSERT_EQ(actual.size(), expected.size()) << what;
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    std::uint64_t a = 0, e = 0;
+    std::memcpy(&a, &actual[i], sizeof a);
+    std::memcpy(&e, &expected[i], sizeof e);
+    ASSERT_EQ(a, e) << what << " element " << i << ": " << actual[i]
+                    << " vs " << expected[i];
+  }
+}
+
+/// A column pool shaped like the simplex's: rows [0, jobs) are assignment
+/// rows and the rest capacity rows. Columns [0, m) are the signed unit
+/// columns ±e_r (slacks −e_r, artificials ±e_r); every further column is a
+/// structural one with a 1 in its job row and the job's width in each of
+/// the `duration` consecutive capacity rows it covers. `dense` replaces the
+/// structural columns by diagonally dominant dense random ones.
+struct ColumnPool {
+  int m = 0;
+  std::vector<std::vector<double>> columns;  ///< dense, size m each
+
+  static ColumnPool simplexShaped(util::Rng& rng, int jobs, int slots) {
+    ColumnPool pool;
+    pool.m = jobs + slots;
+    pool.addSignedUnits(rng);
+    for (int j = 0; j < jobs; ++j) {
+      const double width = static_cast<double>(rng.uniformInt(1, 6));
+      const int duration = static_cast<int>(rng.uniformInt(1, 5));
+      for (int start = 0; start + duration <= slots; ++start) {
+        std::vector<double> col(static_cast<std::size_t>(pool.m), 0.0);
+        col[static_cast<std::size_t>(j)] = 1.0;
+        for (int t = start; t < start + duration; ++t) {
+          col[static_cast<std::size_t>(jobs + t)] = width;
+        }
+        pool.columns.push_back(std::move(col));
+      }
+    }
+    return pool;
+  }
+
+  static ColumnPool denseRandom(util::Rng& rng, int m, int count) {
+    ColumnPool pool;
+    pool.m = m;
+    pool.addSignedUnits(rng);
+    for (int c = 0; c < count; ++c) {
+      std::vector<double> col(static_cast<std::size_t>(m));
+      for (double& v : col) v = rng.uniform(-2, 2);
+      col[static_cast<std::size_t>(rng.uniformInt(0, m - 1))] += 6.0;
+      pool.columns.push_back(std::move(col));
+    }
+    return pool;
+  }
+
+ private:
+  void addSignedUnits(util::Rng& rng) {
+    for (int r = 0; r < m; ++r) {
+      std::vector<double> col(static_cast<std::size_t>(m), 0.0);
+      col[static_cast<std::size_t>(r)] = rng.bernoulli(0.7) ? -1.0 : 1.0;
+      columns.push_back(std::move(col));
+    }
+  }
+};
+
+/// Runs DenseBasis and the reference side by side through a simplex-like
+/// pivot sequence — enter a random nonbasic column, leave at the largest
+/// |alpha|, refactorize every `refactorInterval` pivots — and compares every
+/// ftran and btran result bit for bit.
+void runInLockstep(const ColumnPool& pool, util::Rng& rng, int pivots,
+                   int refactorInterval) {
+  const int m = pool.m;
+  const std::size_t sm = static_cast<std::size_t>(m);
+  std::vector<int> basic(sm);
+  std::vector<bool> inBasis(pool.columns.size(), false);
+  for (int r = 0; r < m; ++r) {
+    basic[static_cast<std::size_t>(r)] = r;
+    inBasis[static_cast<std::size_t>(r)] = true;
+  }
+  const auto writer = [&](int k, std::vector<double>& col) {
+    col = pool.columns[static_cast<std::size_t>(
+        basic[static_cast<std::size_t>(k)])];
+  };
+  DenseBasis fast(m);
+  ReferenceBasis slow(m);
+  ASSERT_TRUE(fast.factorize(writer));
+  ASSERT_TRUE(slow.factorize(writer));
+
+  int done = 0;
+  for (int attempt = 0; done < pivots && attempt < 20 * pivots; ++attempt) {
+    const std::string at = "pivot " + std::to_string(done);
+    if (fast.updatesSinceFactorize() >= refactorInterval) {
+      const bool ok = fast.factorize(writer);
+      ASSERT_EQ(ok, slow.factorize(writer)) << at;
+      ASSERT_TRUE(ok) << at;
+    }
+    // Pricing-style btran of a sparse cost vector over the basics.
+    std::vector<double> y(sm, 0.0);
+    for (std::size_t i = 0; i < sm; ++i) {
+      if (rng.bernoulli(0.3)) y[i] = static_cast<double>(rng.uniformInt(1, 900));
+    }
+    std::vector<double> yRef = y;
+    fast.btran(y);
+    slow.btran(yRef);
+    expectBitIdentical(y, yRef, "btran at " + at);
+
+    const std::size_t enter = static_cast<std::size_t>(
+        rng.uniformInt(0, static_cast<std::int64_t>(pool.columns.size()) - 1));
+    if (inBasis[enter]) continue;
+    std::vector<double> alpha = pool.columns[enter];
+    std::vector<double> alphaRef = alpha;
+    fast.ftran(alpha);
+    slow.ftran(alphaRef);
+    expectBitIdentical(alpha, alphaRef, "ftran at " + at);
+
+    std::size_t leave = 0;
+    for (std::size_t i = 1; i < sm; ++i) {
+      if (std::fabs(alpha[i]) > std::fabs(alpha[leave])) leave = i;
+    }
+    if (std::fabs(alpha[leave]) < 1e-3) continue;
+    fast.update(alpha, static_cast<int>(leave));
+    slow.update(alphaRef, leave);
+    inBasis[static_cast<std::size_t>(basic[leave])] = false;
+    basic[leave] = static_cast<int>(enter);
+    inBasis[enter] = true;
+    ++done;
+
+    // A dense rhs exercises every column of the inverse.
+    std::vector<double> rhs(sm);
+    for (double& v : rhs) v = rng.uniform(-5, 5);
+    std::vector<double> rhsRef = rhs;
+    fast.ftran(rhs);
+    slow.ftran(rhsRef);
+    expectBitIdentical(rhs, rhsRef, "dense ftran after " + at);
+  }
+  EXPECT_EQ(done, pivots) << "pivot sequence stalled";
+}
+
+class BasisBitIdentityTest : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(BasisBitIdentityTest, SimplexShapedBasesMatchDenseReference) {
+  util::Rng rng(GetParam());
+  const int jobs = static_cast<int>(rng.uniformInt(3, 12));
+  const int slots = static_cast<int>(rng.uniformInt(20, 70));
+  const ColumnPool pool = ColumnPool::simplexShaped(rng, jobs, slots);
+  runInLockstep(pool, rng, /*pivots=*/150, /*refactorInterval=*/40);
+}
+
+TEST_P(BasisBitIdentityTest, DenseRandomBasesMatchDenseReference) {
+  util::Rng rng(GetParam());
+  const int m = static_cast<int>(rng.uniformInt(2, 24));
+  const ColumnPool pool = ColumnPool::denseRandom(rng, m, 3 * m);
+  runInLockstep(pool, rng, /*pivots=*/60, /*refactorInterval=*/25);
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSequences, BasisBitIdentityTest,
+                         ::testing::Range<std::uint64_t>(7100, 7106));
 
 }  // namespace
 }  // namespace dynsched::lp

@@ -9,6 +9,7 @@
 #include "dynsched/tip/compaction.hpp"
 #include "dynsched/tip/exact.hpp"
 #include "dynsched/tip/study.hpp"
+#include "dynsched/tip/supervised.hpp"
 #include "dynsched/tip/tim_model.hpp"
 #include "dynsched/tip/time_scaling.hpp"
 #include "dynsched/util/rng.hpp"
@@ -249,6 +250,43 @@ TEST(Compaction, ValidatesAgainstHistory) {
   // Order: job2 (slot 0) then job1; job2 starts immediately at 50.
   EXPECT_EQ(s.find(2)->start, 50);
   EXPECT_EQ(s.find(1)->start, 300);
+}
+
+// ---------------------------------------------------------------------------
+// Pivot-path pin.
+// ---------------------------------------------------------------------------
+
+// One node-capped solve of a small time-indexed instance, pinned to the
+// exact node count, simplex pivot count and incumbent objective. Any change
+// to the LP kernels or the branch & bound that alters a single pivot moves
+// the pivot count, and a different node LP vertex moves the incumbent. The
+// values are those of the plain dense row-major basis kernels that
+// basis_test keeps as its reference; the library's kernels must reproduce
+// them exactly, not within a tolerance.
+TEST(TipModel, NodeCappedSolvePinsThePivotPath) {
+  util::Rng rng(4242);
+  std::vector<core::Job> jobs;
+  for (int i = 0; i < 9; ++i) {
+    jobs.push_back(makeJob(i + 1, 0,
+                           static_cast<NodeCount>(rng.uniformInt(2, 12)),
+                           60 * rng.uniformInt(1, 8)));
+  }
+  const TipInstance inst = makeInstance(16, std::move(jobs), 0, 2400, 60);
+  const Grid grid = makeGrid(inst);
+  const TipModel model = buildModel(inst, grid);
+  mip::MipOptions base;
+  base.maxNodes = 12;
+  base.timeLimitSeconds = 1e9;  // node-limited only: deterministic
+  // The study's options: SOS1 branching and the mean-start rounding
+  // heuristic, so the incumbent depends on the node LP points.
+  const mip::MipResult solved = mip::solveMip(
+      model.mip, makeMipOptions(model, inst, grid, base, nullptr));
+  ASSERT_EQ(model.mip.lp.numRows(), 49);
+  ASSERT_EQ(model.mip.lp.numVariables(), 328);
+  EXPECT_EQ(solved.status, mip::MipStatus::FeasibleLimit);
+  EXPECT_EQ(solved.nodes, 12);
+  EXPECT_EQ(solved.lpIterations, 899);
+  EXPECT_EQ(solved.objective, 40920.0);
 }
 
 // ---------------------------------------------------------------------------
