@@ -19,7 +19,6 @@
 #include "dynsched/tip/order_bnb.hpp"
 #include "dynsched/tip/study.hpp"
 #include "dynsched/tip/supervised.hpp"
-#include "dynsched/trace/synthetic.hpp"
 #include "dynsched/util/alloc_tracker.hpp"
 #include "dynsched/util/flags.hpp"
 #include "dynsched/util/journal.hpp"
@@ -73,26 +72,17 @@ int main(int argc, char** argv) {
       "json", "", "write a machine-readable report to this file");
   if (!flags.parse(argc, argv)) return 0;
 
-  const auto swf = trace::ctcModel().generate(
-      static_cast<std::size_t>(traceJobs), static_cast<std::uint64_t>(seed));
-  sim::SimOptions options;
-  options.kind = sim::SchedulerKind::DynP;
-  options.snapshots.enabled = true;
-  options.snapshots.minWaiting = 5;
-  options.snapshots.maxWaiting = 14;  // order B&B territory
-  sim::RmsSimulator simulator(core::Machine{430}, options);
-  const auto report = simulator.run(core::fromSwf(swf));
+  const auto report = sim::simulateCtcTrace(
+      static_cast<std::size_t>(traceJobs), static_cast<std::uint64_t>(seed),
+      {.minWaiting = 5, .maxWaiting = 14});  // order B&B territory
   if (report.snapshots.empty()) {
     std::puts("no snapshots captured; increase --trace-jobs");
     return 1;
   }
   std::vector<sim::StepSnapshot> selected;
-  const std::size_t want = std::min<std::size_t>(
-      static_cast<std::size_t>(steps), report.snapshots.size());
-  for (std::size_t i = 0; i < want; ++i) {
-    selected.push_back(
-        report.snapshots[i * (report.snapshots.size() - 1) /
-                         std::max<std::size_t>(1, want - 1)]);
+  for (const std::size_t idx : sim::evenlySpaced(
+           report.snapshots.size(), static_cast<std::size_t>(steps))) {
+    selected.push_back(report.snapshots[idx]);
   }
 
   util::TextTable table({"step", "jobs", "policy SLDwA", "scaled-ILP SLDwA",

@@ -10,7 +10,6 @@
 #include <iostream>
 
 #include "dynsched/sim/simulator.hpp"
-#include "dynsched/trace/synthetic.hpp"
 #include "dynsched/util/flags.hpp"
 #include "dynsched/util/timer.hpp"
 
@@ -22,14 +21,9 @@ int main(int argc, char** argv) {
   auto& seed = flags.addInt("seed", 11, "workload seed");
   if (!flags.parse(argc, argv)) return 0;
 
-  const auto swf = trace::ctcModel().generate(
-      static_cast<std::size_t>(traceJobs), static_cast<std::uint64_t>(seed));
-  sim::SimOptions options;
-  options.kind = sim::SchedulerKind::DynP;
-  options.snapshots.enabled = true;
-  options.snapshots.minWaiting = 4;
-  sim::RmsSimulator simulator(core::Machine{430}, options);
-  const auto report = simulator.run(core::fromSwf(swf));
+  const auto report = sim::simulateCtcTrace(
+      static_cast<std::size_t>(traceJobs), static_cast<std::uint64_t>(seed),
+      {.minWaiting = 4});
   if (report.snapshots.empty()) {
     std::puts("no self-tuning step captured; increase --trace-jobs");
     return 1;

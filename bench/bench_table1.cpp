@@ -22,7 +22,6 @@
 #include "dynsched/analysis/audit.hpp"
 #include "dynsched/sim/simulator.hpp"
 #include "dynsched/tip/study.hpp"
-#include "dynsched/trace/synthetic.hpp"
 #include "dynsched/util/flags.hpp"
 #include "dynsched/util/strings.hpp"
 #include "dynsched/util/table.hpp"
@@ -57,17 +56,11 @@ int main(int argc, char** argv) {
   }
 
   // 1. Simulate the trace under self-tuning dynP, capturing every step.
-  const auto swf = trace::ctcModel().generate(
-      static_cast<std::size_t>(traceJobs), static_cast<std::uint64_t>(seed));
-  sim::SimOptions simOptions;
-  sim::SnapshotOptions* snaps = &simOptions.snapshots;  // alias
-  simOptions.kind = sim::SchedulerKind::DynP;
-  snaps->enabled = true;
-  snaps->minWaiting = static_cast<std::size_t>(minWaiting);
-  snaps->maxWaiting = static_cast<std::size_t>(maxWaiting);
-  sim::RmsSimulator simulator(core::Machine{430}, simOptions);
   util::WallTimer simTimer;
-  const sim::SimulationReport report = simulator.run(core::fromSwf(swf));
+  const sim::SimulationReport report = sim::simulateCtcTrace(
+      static_cast<std::size_t>(traceJobs), static_cast<std::uint64_t>(seed),
+      {.minWaiting = static_cast<std::size_t>(minWaiting),
+       .maxWaiting = static_cast<std::size_t>(maxWaiting)});
   std::printf(
       "simulated %zu jobs, %zu self-tuning steps (%zu captured with %lld-%lld "
       "waiting) in %s; policy scheduling averaged %.3f ms per step\n\n",
@@ -93,10 +86,8 @@ int main(int argc, char** argv) {
               return a->waiting.size() < b->waiting.size();
             });
   std::vector<sim::StepSnapshot> selected;
-  const std::size_t want =
-      std::min<std::size_t>(static_cast<std::size_t>(rows), sorted.size());
-  for (std::size_t i = 0; i < want; ++i) {
-    const std::size_t idx = want > 1 ? i * (sorted.size() - 1) / (want - 1) : 0;
+  for (const std::size_t idx :
+       sim::evenlySpaced(sorted.size(), static_cast<std::size_t>(rows))) {
     selected.push_back(*sorted[idx]);
   }
   std::sort(selected.begin(), selected.end(),

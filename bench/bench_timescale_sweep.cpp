@@ -13,7 +13,6 @@
 
 #include "dynsched/sim/simulator.hpp"
 #include "dynsched/tip/study.hpp"
-#include "dynsched/trace/synthetic.hpp"
 #include "dynsched/util/flags.hpp"
 #include "dynsched/util/strings.hpp"
 #include "dynsched/util/table.hpp"
@@ -30,15 +29,9 @@ int main(int argc, char** argv) {
       flags.addDouble("time-limit", 15.0, "B&B time limit per solve [s]");
   if (!flags.parse(argc, argv)) return 0;
 
-  const auto swf = trace::ctcModel().generate(
-      static_cast<std::size_t>(traceJobs), static_cast<std::uint64_t>(seed));
-  sim::SimOptions options;
-  options.kind = sim::SchedulerKind::DynP;
-  options.snapshots.enabled = true;
-  options.snapshots.minWaiting = 6;
-  options.snapshots.maxWaiting = 14;
-  sim::RmsSimulator simulator(core::Machine{430}, options);
-  const auto report = simulator.run(core::fromSwf(swf));
+  const auto report = sim::simulateCtcTrace(
+      static_cast<std::size_t>(traceJobs), static_cast<std::uint64_t>(seed),
+      {.minWaiting = 6, .maxWaiting = 14});
   if (report.snapshots.empty()) {
     std::puts("no snapshots captured; increase --trace-jobs");
     return 1;
@@ -48,14 +41,10 @@ int main(int argc, char** argv) {
   constexpr int kMaxSlots = 700;  // keep the dense-basis LP tractable
   util::TextTable table({"step", "jobs", "scale [s]", "slots", "columns",
                          "quality", "perf. loss", "solve", "status"});
-  const std::size_t n =
-      std::min<std::size_t>(static_cast<std::size_t>(steps),
-                            report.snapshots.size());
   char buf[64];
-  for (std::size_t s = 0; s < n; ++s) {
-    const sim::StepSnapshot& snap =
-        report.snapshots[s * (report.snapshots.size() - 1) /
-                         std::max<std::size_t>(1, n - 1)];
+  for (const std::size_t idx : sim::evenlySpaced(
+           report.snapshots.size(), static_cast<std::size_t>(steps))) {
+    const sim::StepSnapshot& snap = report.snapshots[idx];
     for (const Time scale : scales) {
       const Time makespan = snap.maxPolicyMakespan - snap.time;
       if (makespan / scale > kMaxSlots) {

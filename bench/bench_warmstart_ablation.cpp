@@ -11,7 +11,6 @@
 #include "dynsched/sim/simulator.hpp"
 #include "dynsched/util/error.hpp"
 #include "dynsched/tip/study.hpp"
-#include "dynsched/trace/synthetic.hpp"
 #include "dynsched/util/flags.hpp"
 #include "dynsched/util/strings.hpp"
 #include "dynsched/util/table.hpp"
@@ -28,26 +27,17 @@ int main(int argc, char** argv) {
       flags.addDouble("time-limit", 15.0, "B&B time limit per solve [s]");
   if (!flags.parse(argc, argv)) return 0;
 
-  const auto swf = trace::ctcModel().generate(
-      static_cast<std::size_t>(traceJobs), static_cast<std::uint64_t>(seed));
-  sim::SimOptions options;
-  options.kind = sim::SchedulerKind::DynP;
-  options.snapshots.enabled = true;
-  options.snapshots.minWaiting = 6;
-  options.snapshots.maxWaiting = 16;
-  sim::RmsSimulator simulator(core::Machine{430}, options);
-  const auto report = simulator.run(core::fromSwf(swf));
+  const auto report = sim::simulateCtcTrace(
+      static_cast<std::size_t>(traceJobs), static_cast<std::uint64_t>(seed),
+      {.minWaiting = 6, .maxWaiting = 16});
   if (report.snapshots.empty()) {
     std::puts("no snapshots captured; increase --trace-jobs");
     return 1;
   }
   std::vector<sim::StepSnapshot> selected;
-  const std::size_t want = std::min<std::size_t>(
-      static_cast<std::size_t>(steps), report.snapshots.size());
-  for (std::size_t i = 0; i < want; ++i) {
-    selected.push_back(
-        report.snapshots[i * (report.snapshots.size() - 1) /
-                         std::max<std::size_t>(1, want - 1)]);
+  for (const std::size_t idx : sim::evenlySpaced(
+           report.snapshots.size(), static_cast<std::size_t>(steps))) {
+    selected.push_back(report.snapshots[idx]);
   }
 
   struct Variant {

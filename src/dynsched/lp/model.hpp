@@ -50,7 +50,6 @@ class LpModel {
   std::size_t numNonZeros() const;
 
   double objectiveCoef(int col) const { return objective_[col]; }
-  void setObjectiveCoef(int col, double value) { objective_[col] = value; }
 
   double columnLower(int col) const { return colLb_[col]; }
   double columnUpper(int col) const { return colUb_[col]; }

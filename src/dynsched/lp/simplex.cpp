@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "dynsched/lp/basis.hpp"
+#include "dynsched/lp/model.hpp"
 #include "dynsched/util/budget.hpp"
 #include "dynsched/util/error.hpp"
 #include "dynsched/util/logging.hpp"
@@ -24,6 +25,14 @@ const char* lpStatusName(LpStatus status) {
 
 namespace {
 
+constexpr long kMaxIterations = 200000;
+constexpr double kFeasibilityTol = 1e-7;  ///< bound violation tolerance
+constexpr double kOptimalityTol = 1e-7;   ///< reduced-cost tolerance
+constexpr double kPivotTol = 1e-8;        ///< smallest acceptable |pivot|
+constexpr int kRefactorInterval = 120;    ///< pivots between refactorizations
+/// Consecutive degenerate pivots before the switch to Bland's rule.
+constexpr int kBlandThreshold = 60;
+
 enum class VarStatus : std::uint8_t { Basic, AtLower, AtUpper, Free };
 
 /// Bounded-variable primal simplex with a classical two-phase start.
@@ -39,7 +48,7 @@ class Simplex {
  public:
   Simplex(const LpModel& model, const SimplexOptions& options)
       : model_(model),
-        opts_(options),
+        cancel_(options.cancel),
         n_(model.numVariables()),
         m_(model.numRows()),
         total_(n_ + 2 * model.numRows()),
@@ -110,7 +119,7 @@ class Simplex {
   double phaseObjective(bool phase1) const;
 
   const LpModel& model_;
-  SimplexOptions opts_;
+  util::CancelToken* cancel_;  ///< non-owning; may be null
   int n_, m_, total_;
   DenseBasis basis_;
 
@@ -177,7 +186,7 @@ double Simplex::phaseObjective(bool phase1) const {
 
 LpSolution Simplex::solve() {
   LpSolution result;
-  if (opts_.cancel != nullptr && opts_.cancel->injectLpFailure()) {
+  if (cancel_ != nullptr && cancel_->injectLpFailure()) {
     // Deterministic fault injection: this solve "fails numerically".
     result.status = LpStatus::NumericalFailure;
     return result;
@@ -279,7 +288,6 @@ LpSolution Simplex::solve() {
   }
   computeBasicValues();
 
-  const double otol = opts_.optimalityTol;
   std::vector<double> y(static_cast<std::size_t>(m_));
   std::vector<double> alpha(static_cast<std::size_t>(m_));
   int degenerateRun = 0;
@@ -287,13 +295,13 @@ LpSolution Simplex::solve() {
   bool phase1 = needPhase1;
   bool hitIterationLimit = true;
 
-  for (long iter = 0; iter < opts_.maxIterations; ++iter) {
+  for (long iter = 0; iter < kMaxIterations; ++iter) {
     result.iterations = iter;
-    if (opts_.cancel != nullptr && opts_.cancel->onLpIteration()) {
+    if (cancel_ != nullptr && cancel_->onLpIteration()) {
       result.status = LpStatus::Cancelled;
       return result;
     }
-    if (basis_.updatesSinceFactorize() >= opts_.refactorInterval) {
+    if (basis_.updatesSinceFactorize() >= kRefactorInterval) {
       if (!refactorize()) {
         result.status = LpStatus::NumericalFailure;
         return result;
@@ -302,7 +310,7 @@ LpSolution Simplex::solve() {
     }
 
     // Phase transition: all artificial mass driven to ~0.
-    if (phase1 && phaseObjective(true) <= opts_.feasibilityTol) {
+    if (phase1 && phaseObjective(true) <= kFeasibilityTol) {
       phase1 = false;
       // Freeze artificials at zero so they can never re-enter.
       freezeArtificials();
@@ -319,7 +327,7 @@ LpSolution Simplex::solve() {
 
     int entering = -1;
     int enterDir = 0;
-    double bestScore = otol;
+    double bestScore = kOptimalityTol;
     // Artificials (the tail of the variable range) never re-enter.
     for (int var = 0; var < n_ + m_; ++var) {
       const VarStatus st = status_[static_cast<std::size_t>(var)];
@@ -327,10 +335,10 @@ LpSolution Simplex::solve() {
       if (lower(var) == upper(var)) continue;  // fixed variables never enter
       const double rc = cost(var, phase1) - dotColumn(var, y);
       int dir = 0;
-      if ((st == VarStatus::AtLower || st == VarStatus::Free) && rc < -otol) {
+      if ((st == VarStatus::AtLower || st == VarStatus::Free) && rc < -kOptimalityTol) {
         dir = +1;
       } else if ((st == VarStatus::AtUpper || st == VarStatus::Free) &&
-                 rc > otol) {
+                 rc > kOptimalityTol) {
         dir = -1;
       }
       if (dir == 0) continue;
@@ -350,7 +358,7 @@ LpSolution Simplex::solve() {
     if (entering < 0) {
       if (phase1) {
         // Phase-1 optimum with residual artificial mass: infeasible.
-        result.status = phaseObjective(true) > opts_.feasibilityTol
+        result.status = phaseObjective(true) > kFeasibilityTol
                             ? LpStatus::Infeasible
                             : LpStatus::Optimal;
         if (result.status == LpStatus::Infeasible) return result;
@@ -375,7 +383,7 @@ LpSolution Simplex::solve() {
     double bestPivotMag = 0;
     for (int i = 0; i < m_; ++i) {
       const double a = alpha[static_cast<std::size_t>(i)];
-      if (std::fabs(a) < opts_.pivotTol) continue;
+      if (std::fabs(a) < kPivotTol) continue;
       const double delta = -static_cast<double>(enterDir) * a;
       const int var = basisVars_[static_cast<std::size_t>(i)];
       const double v = xBasic_[static_cast<std::size_t>(i)];
@@ -451,7 +459,7 @@ LpSolution Simplex::solve() {
     basis_.update(alpha, leavingPos);
 
     if (t < 1e-10) {
-      if (++degenerateRun > opts_.blandThreshold) bland = true;
+      if (++degenerateRun > kBlandThreshold) bland = true;
     } else {
       degenerateRun = 0;
       bland = false;
@@ -481,9 +489,6 @@ LpSolution Simplex::solve() {
         xBasic_[static_cast<std::size_t>(i)];
   }
   result.x.assign(x.begin(), x.begin() + n_);
-  // Slack values equal the row activities (A x − s = 0), but recompute
-  // activities from x so tiny basic drift cannot desynchronize them.
-  result.rowActivity = model_.rowActivity(result.x);
   result.objective = model_.objectiveValue(result.x);
 
   for (int i = 0; i < m_; ++i) {

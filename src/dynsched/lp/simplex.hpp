@@ -18,13 +18,13 @@
 #include <string>
 #include <vector>
 
-#include "dynsched/lp/model.hpp"
-
 namespace dynsched::util {
 class CancelToken;
 }  // namespace dynsched::util
 
 namespace dynsched::lp {
+
+class LpModel;
 
 enum class LpStatus {
   Optimal,
@@ -40,22 +40,18 @@ const char* lpStatusName(LpStatus status);
 struct LpSolution {
   LpStatus status = LpStatus::NumericalFailure;
   double objective = 0;
-  std::vector<double> x;            ///< structural variable values
-  std::vector<double> rowActivity;  ///< A x per row
-  std::vector<double> duals;        ///< dual values per row (phase-2 y)
+  std::vector<double> x;      ///< structural variable values
+  std::vector<double> duals;  ///< dual values per row (phase-2 y)
   long iterations = 0;
   long refactorizations = 0;
 
   bool optimal() const { return status == LpStatus::Optimal; }
 };
 
+/// The tolerances, iteration cap and refactorization interval are fixed
+/// constants of the solver (simplex.cpp); only the cancellation point varies
+/// per solve.
 struct SimplexOptions {
-  long maxIterations = 200000;
-  double feasibilityTol = 1e-7;   ///< bound violation tolerance
-  double optimalityTol = 1e-7;    ///< reduced-cost tolerance
-  double pivotTol = 1e-8;         ///< smallest acceptable |pivot|
-  int refactorInterval = 120;     ///< pivots between refactorizations
-  int blandThreshold = 60;        ///< degenerate pivots before Bland's rule
   /// Cooperative cancellation point, polled at every iteration so a shared
   /// deadline is honored with at most one iteration of overshoot (and so a
   /// degenerate node LP inside branch & bound cannot overrun the step

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "dynsched/lp/model.hpp"
 #include "dynsched/lp/simplex.hpp"
 #include "dynsched/util/budget.hpp"
 
@@ -26,9 +27,6 @@ struct MipModel {
   /// Adds an integer variable to `lp` and marks it.
   int addIntegerVariable(double lb, double ub, double objective,
                          std::string name = {});
-  /// Adds a continuous variable.
-  int addContinuousVariable(double lb, double ub, double objective,
-                            std::string name = {});
 };
 
 enum class MipStatus {
@@ -80,8 +78,6 @@ struct MipOptions {
   /// polled in the node loop and the cover-cut separation, so the budget it
   /// carries bounds the whole solve — including a single degenerate node LP.
   util::CancelToken* cancel = nullptr;
-  double relGapTol = 1e-6;       ///< stop when gap() <= this
-  double integralityTol = 1e-6;
   /// Objective value of every integer point is an integer (true for the
   /// time-indexed model, whose costs are integral); lets bounds round up.
   bool objectiveIsIntegral = false;
@@ -98,8 +94,8 @@ struct MipOptions {
   /// coefficients — exactly the time-indexed capacity rows (Eq. 4): for a
   /// cover S (Σ_{i∈S} w_i > C) every integer point satisfies
   /// Σ_{i∈S} x_i <= |S| − 1, which the LP relaxation often violates.
+  /// Each round adds at most 64 cuts.
   int coverCutRounds = 1;
-  int maxCoverCutsPerRound = 64;
   /// Disjoint ordered groups of binary columns of which exactly one is 1 in
   /// any feasible solution (SOS1 along a value axis, e.g. the start-time
   /// columns x_{i,0..K} of one job). When the branching variable belongs to

@@ -7,6 +7,8 @@
 #include <sstream>
 
 #include "dynsched/analysis/audit.hpp"
+#include "dynsched/core/job.hpp"
+#include "dynsched/trace/synthetic.hpp"
 #include "dynsched/util/error.hpp"
 #include "dynsched/util/logging.hpp"
 #include "dynsched/util/signals.hpp"
@@ -641,6 +643,27 @@ SimulationReport RmsSimulator::resume(const std::string& journalPath,
   resumed.options_.journal.path = journalPath;
   resumed.options_.journal.resume = true;
   return resumed.run(jobs);
+}
+
+SimulationReport simulateCtcTrace(std::size_t jobs, std::uint64_t seed,
+                                  SnapshotOptions snapshots) {
+  const trace::SwfTrace swf = trace::ctcModel().generate(jobs, seed);
+  SimOptions options;
+  options.kind = SchedulerKind::DynP;
+  options.snapshots = snapshots;
+  options.snapshots.enabled = true;
+  RmsSimulator simulator(core::Machine{430}, options);
+  return simulator.run(core::fromSwf(swf));
+}
+
+std::vector<std::size_t> evenlySpaced(std::size_t n, std::size_t want) {
+  want = std::min(want, n);
+  std::vector<std::size_t> indices;
+  indices.reserve(want);
+  for (std::size_t i = 0; i < want; ++i) {
+    indices.push_back(i * (n - 1) / std::max<std::size_t>(1, want - 1));
+  }
+  return indices;
 }
 
 double SimulationReport::avgResponseTime() const {

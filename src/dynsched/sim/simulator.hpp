@@ -168,4 +168,15 @@ class RmsSimulator {
   SimOptions options_;
 };
 
+/// The scenario prologue of the study benches and tests: a CTC-like trace
+/// of `jobs` jobs from `seed` (trace::ctcModel()), simulated under
+/// self-tuning dynP on the 430-node machine, capturing the steps that
+/// `snapshots` selects (capture is switched on regardless of its `enabled`).
+SimulationReport simulateCtcTrace(std::size_t jobs, std::uint64_t seed,
+                                  SnapshotOptions snapshots);
+
+/// Indices of min(want, n) items spread evenly over [0, n): the i-th is
+/// i·(n−1)/max(1, want−1), so the first and the last item are always taken.
+std::vector<std::size_t> evenlySpaced(std::size_t n, std::size_t want);
+
 }  // namespace dynsched::sim

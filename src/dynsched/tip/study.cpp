@@ -84,11 +84,13 @@ std::uint64_t studyFingerprint(const std::vector<sim::StepSnapshot>& snapshots,
   w.u64(options.budget.maxEstimatedBytes);
   w.i64(options.mip.maxNodes);
   w.f64(options.mip.timeLimitSeconds);
-  w.f64(options.mip.relGapTol);
-  w.f64(options.mip.integralityTol);
+  // Former MipOptions gap / integrality / cuts-per-round values, now solver
+  // constants; their slots stay so journals written before still resume.
+  w.f64(1e-6);
+  w.f64(1e-6);
   w.boolean(options.mip.objectiveIsIntegral);
   w.i64(options.mip.coverCutRounds);
-  w.i64(options.mip.maxCoverCutsPerRound);
+  w.i64(64);
   return util::fnv1a64(w.bytes().data(), w.bytes().size());
 }
 

@@ -13,7 +13,6 @@
 #include "dynsched/sim/simulator.hpp"
 #include "dynsched/tip/exact.hpp"
 #include "dynsched/tip/study.hpp"
-#include "dynsched/trace/synthetic.hpp"
 
 namespace dynsched::tip {
 namespace {
@@ -22,15 +21,10 @@ namespace {
 std::vector<sim::StepSnapshot> captureSnapshots(std::size_t traceJobs,
                                                 std::size_t maxSnapshots,
                                                 std::uint64_t seed) {
-  const auto trace = trace::ctcModel().generate(traceJobs, seed);
-  sim::SimOptions options;
-  options.kind = sim::SchedulerKind::DynP;
-  options.snapshots.enabled = true;
-  options.snapshots.minWaiting = 3;
-  options.snapshots.maxWaiting = 10;
-  options.snapshots.maxCount = maxSnapshots;
-  sim::RmsSimulator simulator(core::Machine{430}, options);
-  return simulator.run(core::fromSwf(trace)).snapshots;
+  return sim::simulateCtcTrace(
+             traceJobs, seed,
+             {.minWaiting = 3, .maxWaiting = 10, .maxCount = maxSnapshots})
+      .snapshots;
 }
 
 StudyOptions fastOptions() {
@@ -346,6 +340,23 @@ TEST(StudyJournal, FingerprintMismatchFailsStructurally) {
       resumeStudy(options.journal.path, snapshots, different, 1),
       analysis::AuditError);
   std::remove(options.journal.path.c_str());
+}
+
+TEST(StudyJournal, FingerprintIsPinned) {
+  // A fixed two-step study under default options. The value was recorded
+  // when the MIP gap, integrality and cover-cut limits were still options;
+  // the payload keeps their slots, so journals written then still resume.
+  std::vector<sim::StepSnapshot> snapshots(2);
+  snapshots[0].time = 1000;
+  snapshots[0].waiting = {core::Job{1, 900, 16, 600, 500},
+                          core::Job{2, 950, 64, 1800, 1800}};
+  snapshots[0].maxPolicyMakespan = 4000;
+  snapshots[0].bestPolicy = core::PolicyKind::Sjf;
+  snapshots[1].time = 2500;
+  snapshots[1].waiting = {core::Job{3, 2400, 128, 3600, 3000}};
+  snapshots[1].maxPolicyMakespan = 7000;
+  EXPECT_EQ(studyFingerprint(snapshots, StudyOptions{}),
+            std::uint64_t{1684495320461568078ULL});
 }
 
 TEST(StudyJournal, FutureRecordVersionFailsStructurally) {

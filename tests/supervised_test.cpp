@@ -12,7 +12,6 @@
 #include "dynsched/sim/simulator.hpp"
 #include "dynsched/tip/study.hpp"
 #include "dynsched/tip/supervised.hpp"
-#include "dynsched/trace/synthetic.hpp"
 #include "dynsched/util/budget.hpp"
 #include "dynsched/util/error.hpp"
 
@@ -23,15 +22,10 @@ namespace {
 std::vector<sim::StepSnapshot> captureSnapshots(std::size_t traceJobs,
                                                 std::size_t maxSnapshots,
                                                 std::uint64_t seed) {
-  const auto trace = trace::ctcModel().generate(traceJobs, seed);
-  sim::SimOptions options;
-  options.kind = sim::SchedulerKind::DynP;
-  options.snapshots.enabled = true;
-  options.snapshots.minWaiting = 3;
-  options.snapshots.maxWaiting = 10;
-  options.snapshots.maxCount = maxSnapshots;
-  sim::RmsSimulator simulator(core::Machine{430}, options);
-  return simulator.run(core::fromSwf(trace)).snapshots;
+  return sim::simulateCtcTrace(
+             traceJobs, seed,
+             {.minWaiting = 3, .maxWaiting = 10, .maxCount = maxSnapshots})
+      .snapshots;
 }
 
 StudyOptions fastOptions() {
