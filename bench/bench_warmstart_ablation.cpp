@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "dynsched/lp/model.hpp"
 #include "dynsched/sim/simulator.hpp"
 #include "dynsched/util/error.hpp"
 #include "dynsched/tip/study.hpp"
@@ -83,8 +84,12 @@ int main(int argc, char** argv) {
       cells.push_back(std::to_string(row.jobs));
       std::snprintf(buf, sizeof(buf), "%.4f", row.quality);
       cells.push_back(buf);
-      std::snprintf(buf, sizeof(buf), "%.2f%%", row.gap * 100);
-      cells.push_back(buf);
+      if (row.gap >= lp::kInf) {
+        cells.emplace_back("-");  // policy fallback: no ILP incumbent
+      } else {
+        std::snprintf(buf, sizeof(buf), "%.2f%%", row.gap * 100);
+        cells.push_back(buf);
+      }
       cells.push_back(std::to_string(row.nodes));
       cells.push_back(util::formatDuration(row.solveSeconds));
       cells.push_back(mip::mipStatusName(row.status));

@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "dynsched/analysis/audit.hpp"
+#include "dynsched/lp/model.hpp"
 #include "dynsched/lp/mps_writer.hpp"
 #include "dynsched/sim/simulator.hpp"
 #include "dynsched/tip/study.hpp"
@@ -163,10 +164,14 @@ int main(int argc, char** argv) {
     return 130;  // 128 + SIGINT, the conventional interrupted exit
   }
   const tip::StudyRow& row = rows.front();
-  std::printf("B&B: %s [%s] in %s, %ld nodes, gap %.2f%%\n\n",
+  char gap[32] = "-";  // policy fallback: no ILP incumbent, no gap
+  if (row.gap < lp::kInf) {
+    std::snprintf(gap, sizeof(gap), "%.2f%%", row.gap * 100);
+  }
+  std::printf("B&B: %s [%s] in %s, %ld nodes, gap %s\n\n",
               mip::mipStatusName(row.status), row.provenance.c_str(),
               util::formatDuration(timer.elapsedSeconds()).c_str(), row.nodes,
-              row.gap * 100);
+              gap);
 
   std::printf("ILP (compacted) SLDwA=%.3f vs best policy %s SLDwA=%.3f\n",
               row.ilpValue, core::policyName(row.bestPolicy), row.policyValue);

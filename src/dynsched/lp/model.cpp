@@ -1,5 +1,6 @@
 #include "dynsched/lp/model.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "dynsched/util/error.hpp"
@@ -32,14 +33,20 @@ void LpModel::addEntry(int row, int col, double value) {
   DYNSCHED_CHECK(col >= 0 && col < numVariables());
   if (value == 0.0) return;
   auto& column = columns_[col];
-  // Accumulate duplicates; entries per column stay sorted by insertion use.
-  for (ColumnEntry& e : column) {
-    if (e.row == row) {
-      e.value += value;
-      return;
-    }
+  // Keep the column in ascending row order; appending the next row (how
+  // models are usually built) skips the search.
+  if (column.empty() || column.back().row < row) {
+    column.push_back(ColumnEntry{row, value});
+    return;
   }
-  column.push_back(ColumnEntry{row, value});
+  const auto it = std::lower_bound(
+      column.begin(), column.end(), row,
+      [](const ColumnEntry& e, int r) { return e.row < r; });
+  if (it->row == row) {
+    it->value += value;  // duplicate (row, col) pairs accumulate
+    return;
+  }
+  column.insert(it, ColumnEntry{row, value});
 }
 
 int LpModel::addRow(double lb, double ub,

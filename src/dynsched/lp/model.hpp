@@ -5,10 +5,13 @@
 //     s.t. rowLb_r <= A_r x <= rowUb_r     for every row r
 //          lb_j    <= x_j  <= ub_j         for every column j
 //
-// Columns are stored sparsely (row index / coefficient pairs). The
-// time-indexed scheduling model (dynsched::tip) produces instances whose
-// columns are short relative to the row count, which is what the simplex
-// implementation is tuned for — but the model is fully general.
+// Columns are stored sparsely (row index / coefficient pairs) in ascending
+// row order, whatever order the entries were added in. The simplex relies
+// on that order: its row-wise pricing sums each column's products by
+// ascending row. The time-indexed scheduling model (dynsched::tip) produces
+// instances whose columns are short relative to the row count, which is
+// what the simplex implementation is tuned for — but the model is fully
+// general.
 #pragma once
 
 #include <string>
@@ -38,6 +41,8 @@ class LpModel {
   int addRow(double lb, double ub, const char* name = "");
 
   /// Adds `value` to A[row, col] (duplicate (row, col) pairs accumulate).
+  /// Inserts in place so the column stays in ascending row order; zero
+  /// values add no entry.
   void addEntry(int row, int col, double value);
 
   /// Convenience: row with entries in one call.
@@ -58,6 +63,7 @@ class LpModel {
   double rowLower(int row) const { return rowLb_[row]; }
   double rowUpper(int row) const { return rowUb_[row]; }
 
+  /// Entries of column `col`, in ascending row order.
   const std::vector<ColumnEntry>& column(int col) const {
     return columns_[col];
   }

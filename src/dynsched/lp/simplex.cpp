@@ -85,20 +85,6 @@ class Simplex {
     }
   }
 
-  double dotColumn(int var, const std::vector<double>& y) const {
-    if (var < n_) {
-      double sum = 0;
-      for (const ColumnEntry& e : model_.column(var)) {
-        sum += y[static_cast<std::size_t>(e.row)] * e.value;
-      }
-      return sum;
-    }
-    if (isSlack(var)) return -y[static_cast<std::size_t>(rowOf(var))];
-    const int r = rowOf(var);
-    return y[static_cast<std::size_t>(r)] *
-           artificialSign_[static_cast<std::size_t>(r)];
-  }
-
   double nonbasicValue(int var) const {
     switch (status_[static_cast<std::size_t>(var)]) {
       case VarStatus::AtLower: return lower(var);
@@ -116,6 +102,8 @@ class Simplex {
 
   bool refactorize();
   void computeBasicValues();
+  void buildRowView();
+  void priceStructurals(const std::vector<double>& y);
   double phaseObjective(bool phase1) const;
 
   const LpModel& model_;
@@ -131,6 +119,15 @@ class Simplex {
   /// Bounds of every variable (structural, slack, artificial), filled once
   /// per solve so the pricing and ratio-test loops read plain arrays.
   std::vector<double> lower_, upper_;
+  /// Row-major copy of the structural columns that can enter in this solve
+  /// (fixed ones are left out): row r holds the entries [rowStart_[r],
+  /// rowStart_[r + 1]) of rowCols_ / rowValues_, in ascending column order.
+  /// Two arrays rather than one of {col, value} pairs: 12 bytes an entry
+  /// instead of 16 with padding, and this copy is made for every solve.
+  std::vector<int> rowStart_;
+  std::vector<int> rowCols_;
+  std::vector<double> rowValues_;
+  std::vector<double> priced_;  ///< y^T A_j per structural column j
   long refactorCount_ = 0;
 };
 
@@ -166,6 +163,58 @@ void Simplex::computeBasicValues() {
   }
   basis_.ftran(rhs);
   xBasic_ = rhs;
+}
+
+void Simplex::buildRowView() {
+  // Counting sort by row. After the fill pass rowStart_[r] has advanced to
+  // the end of row r, so one shift to the right restores the starts.
+  rowStart_.assign(static_cast<std::size_t>(m_) + 1, 0);
+  for (int j = 0; j < n_; ++j) {
+    if (lower(j) == upper(j)) continue;
+    for (const ColumnEntry& e : model_.column(j)) {
+      ++rowStart_[static_cast<std::size_t>(e.row) + 1];
+    }
+  }
+  for (int r = 0; r < m_; ++r) {
+    rowStart_[static_cast<std::size_t>(r) + 1] +=
+        rowStart_[static_cast<std::size_t>(r)];
+  }
+  rowCols_.resize(static_cast<std::size_t>(rowStart_.back()));
+  rowValues_.resize(static_cast<std::size_t>(rowStart_.back()));
+  for (int j = 0; j < n_; ++j) {
+    if (lower(j) == upper(j)) continue;
+    for (const ColumnEntry& e : model_.column(j)) {
+      int& next = rowStart_[static_cast<std::size_t>(e.row)];
+      const auto k = static_cast<std::size_t>(next++);
+      rowCols_[k] = j;
+      rowValues_[k] = e.value;
+    }
+  }
+  for (int r = m_; r > 0; --r) {
+    rowStart_[static_cast<std::size_t>(r)] =
+        rowStart_[static_cast<std::size_t>(r) - 1];
+  }
+  rowStart_[0] = 0;
+  priced_.resize(static_cast<std::size_t>(n_));
+}
+
+void Simplex::priceStructurals(const std::vector<double>& y) {
+  // priced_[j] = Σ_r y_r · a_rj over the rows with y_r != 0, in ascending
+  // r. Columns keep their entries in ascending row order (LpModel), so each
+  // priced_[j] adds the same products in the same order as a per-column
+  // dot product would; the skipped terms are exactly ±0 (coefficients are
+  // finite), and adding ±0 to a sum that started at +0 changes nothing.
+  // Pivots stay bit-identical.
+  std::fill(priced_.begin(), priced_.end(), 0.0);
+  for (int r = 0; r < m_; ++r) {
+    const double yr = y[static_cast<std::size_t>(r)];
+    if (yr == 0.0) continue;
+    const int end = rowStart_[static_cast<std::size_t>(r) + 1];
+    for (int k = rowStart_[static_cast<std::size_t>(r)]; k < end; ++k) {
+      const auto sk = static_cast<std::size_t>(k);
+      priced_[static_cast<std::size_t>(rowCols_[sk])] += yr * rowValues_[sk];
+    }
+  }
 }
 
 double Simplex::phaseObjective(bool phase1) const {
@@ -228,6 +277,7 @@ LpSolution Simplex::solve() {
     lower_[static_cast<std::size_t>(n_ + r)] = model_.rowLower(r);
     upper_[static_cast<std::size_t>(n_ + r)] = model_.rowUpper(r);
   }
+  buildRowView();
 
   // --- Crash basis ------------------------------------------------------
   // Structural variables start at a finite bound (or free at 0). For each
@@ -244,7 +294,10 @@ LpSolution Simplex::solve() {
       status_[static_cast<std::size_t>(j)] = VarStatus::Free;
     }
   }
-  std::vector<double> activity(static_cast<std::size_t>(m_), 0.0);
+  // The crash activity borrows the computeBasicValues buffer, which
+  // overwrites it before its own use.
+  std::vector<double>& activity = rhsScratch_;
+  activity.assign(static_cast<std::size_t>(m_), 0.0);
   for (int j = 0; j < n_; ++j) {
     const double v = status_[static_cast<std::size_t>(j)] == VarStatus::Free
                          ? 0.0
@@ -324,6 +377,7 @@ LpSolution Simplex::solve() {
           cost(basisVars_[static_cast<std::size_t>(i)], phase1);
     }
     basis_.btran(y);
+    priceStructurals(y);
 
     int entering = -1;
     int enterDir = 0;
@@ -333,7 +387,10 @@ LpSolution Simplex::solve() {
       const VarStatus st = status_[static_cast<std::size_t>(var)];
       if (st == VarStatus::Basic) continue;
       if (lower(var) == upper(var)) continue;  // fixed variables never enter
-      const double rc = cost(var, phase1) - dotColumn(var, y);
+      // A slack's column is −e_r, so its y^T column is −y_r.
+      const double dot = var < n_ ? priced_[static_cast<std::size_t>(var)]
+                                  : -y[static_cast<std::size_t>(var - n_)];
+      const double rc = cost(var, phase1) - dot;
       int dir = 0;
       if ((st == VarStatus::AtLower || st == VarStatus::Free) && rc < -kOptimalityTol) {
         dir = +1;
@@ -478,17 +535,19 @@ LpSolution Simplex::solve() {
   }
   computeBasicValues();
 
-  std::vector<double> x(static_cast<std::size_t>(total_), 0.0);
-  for (int var = 0; var < total_; ++var) {
+  result.x.assign(static_cast<std::size_t>(n_), 0.0);
+  for (int var = 0; var < n_; ++var) {
     if (status_[static_cast<std::size_t>(var)] != VarStatus::Basic) {
-      x[static_cast<std::size_t>(var)] = nonbasicValue(var);
+      result.x[static_cast<std::size_t>(var)] = nonbasicValue(var);
     }
   }
   for (int i = 0; i < m_; ++i) {
-    x[static_cast<std::size_t>(basisVars_[static_cast<std::size_t>(i)])] =
-        xBasic_[static_cast<std::size_t>(i)];
+    const int var = basisVars_[static_cast<std::size_t>(i)];
+    if (var < n_) {
+      result.x[static_cast<std::size_t>(var)] =
+          xBasic_[static_cast<std::size_t>(i)];
+    }
   }
-  result.x.assign(x.begin(), x.begin() + n_);
   result.objective = model_.objectiveValue(result.x);
 
   for (int i = 0; i < m_; ++i) {

@@ -11,6 +11,14 @@
 // both. Degeneracy falls back to Bland's rule after a run of non-improving
 // pivots.
 //
+// Pricing is row-wise. Each solve builds a row-major copy of the structural
+// columns that are not fixed (lb == ub columns never enter); each iteration
+// forms y^T A by walking only the rows whose dual y_r is nonzero, in
+// ascending row order. LpModel keeps every column in ascending row order, so
+// each reduced cost adds the same products in the same order as a
+// per-column dot product: the terms skipped are exactly ±0, and the pivots
+// are bit-identical to column-wise pricing.
+//
 // This solver plays the role of the LP engine inside the branch-and-bound
 // "CPLEX substitute" (dynsched::mip); see DESIGN.md, substitutions.
 #pragma once

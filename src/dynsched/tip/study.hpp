@@ -64,7 +64,7 @@ struct StudyRow {
   double perfLossPct = 0;      ///< (1 − quality)·100
   double solveSeconds = 0;
   mip::MipStatus status = mip::MipStatus::Error;
-  double gap = 0;              ///< relative B&B gap at stop
+  double gap = 0;              ///< relative B&B gap at stop (kInf: fallback)
   long nodes = 0;
   int lpColumns = 0;
   int lpRows = 0;

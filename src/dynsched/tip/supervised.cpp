@@ -9,6 +9,7 @@
 #include "dynsched/analysis/audit.hpp"
 #include "dynsched/analysis/schedule_validator.hpp"
 #include "dynsched/core/policies.hpp"
+#include "dynsched/lp/model.hpp"
 #include "dynsched/sim/simulator.hpp"
 #include "dynsched/util/error.hpp"
 #include "dynsched/util/logging.hpp"
@@ -298,7 +299,7 @@ SupervisedResult supervisedBestSchedule(const sim::StepSnapshot& snapshot,
   prov << "; fell back to best policy schedule ("
        << core::policyName(snapshot.bestPolicy) << ")";
   result.schedule = snapshot.bestSchedule;
-  result.gap = 0;
+  result.gap = lp::kInf;  // no ILP incumbent, so no gap (MipResult::gap())
   return finish(SolveRung::PolicyFallback);
 }
 

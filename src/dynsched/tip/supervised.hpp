@@ -78,7 +78,9 @@ struct SupervisedResult {
   core::Schedule schedule;
   SolveRung rung = SolveRung::PolicyFallback;
   mip::MipStatus mipStatus = mip::MipStatus::Error;
-  double gap = 0;            ///< relative B&B gap (0 when proven optimal)
+  /// Relative B&B gap of the adopted attempt: 0 when proven optimal,
+  /// lp::kInf on the policy-fallback rung (no ILP incumbent to measure).
+  double gap = 0;
   Time timeScale = 0;        ///< grid scale of the winning attempt [sec]
   bool coarsened = false;    ///< a coarsened retry was attempted
   long nodes = 0;            ///< B&B nodes consumed across all attempts

@@ -2,7 +2,10 @@
 // randomized property tests that certify optimality through the returned
 // duals (feasible point + dual feasibility + complementary slackness on
 // bounds is a full optimality certificate for an LP).
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 
 #include <gtest/gtest.h>
 
@@ -40,6 +43,27 @@ TEST(LpModel, DuplicateEntriesAccumulate) {
   m.addEntry(r, x, 0.25);
   EXPECT_EQ(m.numNonZeros(), 1u);
   EXPECT_DOUBLE_EQ(m.rowActivity({1.0})[0], 0.75);
+}
+
+TEST(LpModel, ColumnsStayInAscendingRowOrder) {
+  LpModel m;
+  const int x = m.addVariable(0, 1, 0.0);
+  for (int r = 0; r < 4; ++r) m.addRow(0, 10);
+  m.addEntry(3, x, 4.0);
+  m.addEntry(1, x, 2.0);
+  m.addEntry(2, x, 3.0);
+  m.addEntry(0, x, 1.0);
+  m.addEntry(2, x, 0.5);  // a duplicate still accumulates in place
+  m.addEntry(1, x, 0.0);  // zero values add nothing
+  const std::vector<ColumnEntry>& column = m.column(x);
+  ASSERT_EQ(column.size(), 4u);
+  for (int r = 0; r < 4; ++r) {
+    EXPECT_EQ(column[static_cast<std::size_t>(r)].row, r);
+  }
+  EXPECT_EQ(column[0].value, 1.0);
+  EXPECT_EQ(column[1].value, 2.0);
+  EXPECT_EQ(column[2].value, 3.5);
+  EXPECT_EQ(column[3].value, 4.0);
 }
 
 TEST(Simplex, TrivialBoundsOnly) {
@@ -183,13 +207,11 @@ struct RandomLpCase {
 
 class SimplexRandomTest : public ::testing::TestWithParam<RandomLpCase> {};
 
-TEST_P(SimplexRandomTest, OptimalWithValidCertificate) {
-  const RandomLpCase param = GetParam();
+/// A random bounded LP with rows built around a random interior point, so
+/// it is feasible by construction; the point is returned through `point`.
+LpModel randomLp(const RandomLpCase& param, std::vector<double>& point) {
   util::Rng rng(param.seed);
   LpModel m;
-  // Random bounded variables and a random interior point that we make
-  // feasible by construction (rows are built around its activities).
-  std::vector<double> point;
   for (int j = 0; j < param.vars; ++j) {
     const double lb = rng.uniform(-5, 0);
     const double ub = lb + rng.uniform(0.5, 8);
@@ -219,6 +241,13 @@ TEST_P(SimplexRandomTest, OptimalWithValidCertificate) {
         break;
     }
   }
+  return m;
+}
+
+TEST_P(SimplexRandomTest, OptimalWithValidCertificate) {
+  const RandomLpCase param = GetParam();
+  std::vector<double> point;
+  const LpModel m = randomLp(param, point);
 
   const LpSolution s = solveLp(m);
   ASSERT_EQ(s.status, LpStatus::Optimal) << "seed " << param.seed;
@@ -265,11 +294,10 @@ TEST_P(SimplexRandomTest, OptimalWithValidCertificate) {
 // point — the shape of the time-indexed models' Eq. 3 rows.
 class SimplexEqualityTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(SimplexEqualityTest, SolvesEqualityHeavySystems) {
-  util::Rng rng(GetParam());
+LpModel equalityLp(std::uint64_t seed, std::vector<double>& point) {
+  util::Rng rng(seed);
   LpModel m;
   const int vars = static_cast<int>(rng.uniformInt(4, 20));
-  std::vector<double> point;
   for (int j = 0; j < vars; ++j) {
     const double lb = 0.0, ub = rng.uniform(1, 4);
     m.addVariable(lb, ub, rng.uniform(-2, 2));
@@ -288,6 +316,12 @@ TEST_P(SimplexEqualityTest, SolvesEqualityHeavySystems) {
     if (entries.empty()) continue;
     m.addRow(activity, activity, entries);  // equality through the point
   }
+  return m;
+}
+
+TEST_P(SimplexEqualityTest, SolvesEqualityHeavySystems) {
+  std::vector<double> point;
+  const LpModel m = equalityLp(GetParam(), point);
   const LpSolution s = solveLp(m);
   ASSERT_EQ(s.status, LpStatus::Optimal) << "seed " << GetParam();
   EXPECT_TRUE(m.isFeasible(s.x, 1e-5));
@@ -317,6 +351,153 @@ INSTANTIATE_TEST_SUITE_P(RandomInstances, SimplexRandomTest,
                                   "_v" + std::to_string(info.param.vars) +
                                   "_r" + std::to_string(info.param.rows);
                          });
+
+// ---------------------------------------------------------------------------
+// Pinned pivot paths. For every random instance above: the pivot count, the
+// refactorization count and the bit pattern of the optimal objective,
+// recorded with per-column pricing. Row-wise pricing must reproduce them
+// exactly; a change that moves a single pivot, or one rounding step of the
+// objective, fails here.
+// ---------------------------------------------------------------------------
+
+struct PivotPath {
+  long iterations;
+  long refactorizations;
+  std::uint64_t objectiveBits;
+};
+
+void expectPivotPath(const LpSolution& s, const PivotPath& pinned) {
+  ASSERT_EQ(s.status, LpStatus::Optimal);
+  EXPECT_EQ(s.iterations, pinned.iterations);
+  EXPECT_EQ(s.refactorizations, pinned.refactorizations);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(s.objective), pinned.objectiveBits)
+      << "objective " << s.objective;
+}
+
+/// SimplexRandomTest seeds 1000, 1001, ... in randomLpCases() order.
+constexpr PivotPath kRandomPivotPaths[] = {
+    {2, 2, 0xbfe057d22bac6218ULL},
+    {1, 2, 0x3fad1a41db0855e0ULL},
+    {2, 2, 0xc00c9fa38b9f40c1ULL},
+    {4, 2, 0xc00554a9ae6140d2ULL},
+    {1, 2, 0xc02b271524178f24ULL},
+    {2, 2, 0xc0073e25adb3e273ULL},
+    {4, 2, 0x3ff3496da064aea0ULL},
+    {9, 2, 0xc01fb604763a7684ULL},
+    {4, 2, 0xc011e2d504836c41ULL},
+    {10, 2, 0xc0126e3436df7b17ULL},
+    {9, 2, 0x3fe2368c49ccd515ULL},
+    {5, 2, 0xbfb12d95dfd26216ULL},
+    {3, 2, 0xc01047be071eb596ULL},
+    {5, 2, 0xc013e51e2014ac73ULL},
+    {1, 2, 0xc02313cc9136c8d9ULL},
+    {6, 2, 0xc03484be68a1b67dULL},
+    {7, 2, 0x400de11ebc69c19cULL},
+    {3, 2, 0xc02d6f76d536f00fULL},
+    {6, 2, 0x3fd845b7dc6269b1ULL},
+    {3, 2, 0xc019e93f4850e5b2ULL},
+    {4, 2, 0x3ff15a7370e7fd08ULL},
+    {3, 2, 0xbfcd8736b1724b0aULL},
+    {4, 2, 0xc017d4aad07feb77ULL},
+    {9, 2, 0x3ff05088230b9e34ULL},
+    {1, 2, 0xc03431c83f3c9fd2ULL},
+    {2, 2, 0xc02b61ddfdcaf504ULL},
+    {4, 2, 0xbfe0457c5f4849f0ULL},
+    {8, 2, 0x40037941b2f9787aULL},
+    {4, 2, 0xc0234ec6d12e29a2ULL},
+    {8, 2, 0xbfed144896a2173cULL},
+    {8, 2, 0x400b9d46fa3b87faULL},
+    {7, 2, 0xc00b960cea1d2700ULL},
+    {5, 2, 0xc03137ed585d529aULL},
+    {11, 2, 0xc018ed9ed4cad075ULL},
+    {9, 2, 0xc0217c736d52e706ULL},
+    {7, 2, 0x4008b5cb388b570cULL},
+    {0, 0, 0xc03d80bef1352e5cULL},
+    {5, 2, 0xc035e55959772ac5ULL},
+    {4, 2, 0xc02ca3593c625ba6ULL},
+    {3, 2, 0xc0219275079acf5aULL},
+    {5, 2, 0xc02d9b7b2b1b8126ULL},
+    {7, 2, 0xc0363eb4814256e5ULL},
+    {10, 2, 0xc0273f8c4a6cad8cULL},
+    {10, 2, 0x401cbba22a70545eULL},
+    {18, 2, 0xc022e7b57b29e03cULL},
+    {16, 2, 0xbfb4550784d10d70ULL},
+    {16, 2, 0x402bc8a7e8082216ULL},
+    {21, 2, 0x40056c2b09808216ULL},
+    {8, 2, 0xc043be938b4b06c9ULL},
+    {6, 2, 0xc042b51d70bb83b9ULL},
+    {10, 2, 0xc050a8bde2b496e9ULL},
+    {10, 2, 0xc03a48c99e7971c3ULL},
+    {10, 2, 0xc043fd1377254bf0ULL},
+    {12, 2, 0xc02ec70ac322d3ccULL},
+    {16, 2, 0xc03774a5ee1bdf2fULL},
+    {20, 2, 0xc02721a6607dc38eULL},
+    {18, 2, 0xc01fcd69a6fccbf0ULL},
+    {32, 2, 0xc00c8cbd4b91f25fULL},
+    {29, 2, 0x4021e6bc9a65706eULL},
+    {17, 2, 0xc0210bc32e875de7ULL},
+    {11, 2, 0xc04cc4e9ff70663cULL},
+    {18, 2, 0xc0476c4c60aeb9a1ULL},
+    {18, 2, 0xc04b8e48cec9aab8ULL},
+    {19, 2, 0xc04cc3c75416434eULL},
+    {13, 2, 0xc0488fb75293b189ULL},
+    {17, 2, 0xc049574acb2c0132ULL},
+    {27, 2, 0xc044bdcf4f2ed347ULL},
+    {20, 2, 0xc04532a32f161121ULL},
+    {29, 2, 0xc04c287cfddc862bULL},
+    {58, 2, 0xc037b3967ae9393bULL},
+    {29, 2, 0xc042e007447457afULL},
+    {31, 2, 0xc03185224d1d9d13ULL},
+};
+
+/// SimplexEqualityTest seeds 3000, 3001, ...
+constexpr PivotPath kEqualityPivotPaths[] = {
+    {32, 2, 0xc0145fc38dd2dc6aULL},
+    {5, 2, 0x4000d379b95ecd3dULL},
+    {15, 2, 0xc030169588f61df7ULL},
+    {4, 2, 0x400ed6da011a6969ULL},
+    {19, 2, 0xc02438ecbe57baafULL},
+    {11, 2, 0xc029684f440bae64ULL},
+    {27, 2, 0x4010890832b40ec2ULL},
+    {22, 2, 0xc00167d14e7fa692ULL},
+    {7, 2, 0xbff2656d6f39956cULL},
+    {12, 2, 0xbff649b1d08d4b42ULL},
+    {19, 2, 0xc02042ba1ef547e9ULL},
+    {13, 2, 0xc036d038374ab0f1ULL},
+    {12, 2, 0xc030656ed6a76de4ULL},
+    {11, 2, 0xc02b7f2b3bfd94c0ULL},
+    {25, 2, 0xc022d7ab0ba0e4b6ULL},
+    {14, 2, 0xc028b2de779535c4ULL},
+    {18, 2, 0x3fe0115f4cd87224ULL},
+    {15, 2, 0xc03cb6aad7aa7cb1ULL},
+    {16, 2, 0xc031a8894028497aULL},
+    {20, 2, 0xc022b66e12200adbULL},
+    {9, 2, 0x3ff7947e865abbf6ULL},
+    {15, 2, 0xc01b5c48c081add0ULL},
+    {14, 2, 0xc018a2381e7e0120ULL},
+    {17, 2, 0xc02f3ad32fda0e6dULL},
+    {4, 2, 0xbffc0bd74ca33f0eULL},
+    {12, 2, 0xc02a42a93b5278f0ULL},
+    {13, 2, 0xc03b367dc7e2ede3ULL},
+    {28, 2, 0xc018dc4338ed4680ULL},
+    {8, 2, 0xc021c374c313e814ULL},
+    {12, 2, 0x401bb7c45e4d1b72ULL},
+};
+
+TEST_P(SimplexRandomTest, PivotPathIsPinned) {
+  const RandomLpCase param = GetParam();
+  std::vector<double> point;
+  const LpSolution s = solveLp(randomLp(param, point));
+  ASSERT_LT(param.seed - 1000, std::size(kRandomPivotPaths));
+  expectPivotPath(s, kRandomPivotPaths[param.seed - 1000]);
+}
+
+TEST_P(SimplexEqualityTest, PivotPathIsPinned) {
+  std::vector<double> point;
+  const LpSolution s = solveLp(equalityLp(GetParam(), point));
+  ASSERT_LT(GetParam() - 3000, std::size(kEqualityPivotPaths));
+  expectPivotPath(s, kEqualityPivotPaths[GetParam() - 3000]);
+}
 
 
 TEST(Simplex, CancelDeadlineNowStopsBeforeFirstPivot) {

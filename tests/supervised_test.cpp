@@ -274,6 +274,23 @@ TEST(Supervised, OomEstimateCoarsensWithoutSolving) {
   expectFeasible(result.schedule, snapshots[0], "post-OOM schedule");
 }
 
+TEST(Supervised, PolicyFallbackReportsNoGap) {
+  // Every LP solve faults, so no attempt has an incumbent and the ladder
+  // ends on rung 4. A gap of 0 would claim a proof that does not exist;
+  // the rung reports MipResult::gap()'s no-solution value instead.
+  const auto snapshots = captureSnapshots(200, 2, 98);
+  ASSERT_FALSE(snapshots.empty());
+  StudyOptions options = fastOptions();
+  util::FaultPlan faults;
+  faults.lpFailures = util::FaultPlan::kAllSolves;
+  options.faults = faults;
+  const SupervisedResult result =
+      supervisedBestSchedule(snapshots[0], options);
+  ASSERT_EQ(result.rung, SolveRung::PolicyFallback);
+  EXPECT_NE(result.gap, 0.0);
+  EXPECT_EQ(result.gap, lp::kInf);
+}
+
 TEST(Supervised, PersistentLpFailureLandsOnPolicyFallback) {
   const auto snapshots = captureSnapshots(200, 2, 97);
   ASSERT_FALSE(snapshots.empty());
