@@ -8,13 +8,20 @@
 // B^{-1} is stored column-major, and every kernel skips exact zeros of its
 // input, so the costs follow the sparsity the simplex feeds it:
 //   ftran      one contiguous axpy per nonzero of the rhs — O(m·nnz(rhs));
-//              entering columns have a handful of nonzeros.
+//              entering columns have a handful of nonzeros. Four nonzeros
+//              share one pass over the output.
 //   btran      one dot product per column over the rhs nonzeros —
-//              O(m·nnz(rhs)).
+//              O(m·nnz(rhs)); four columns per pass keep four independent
+//              sums in flight instead of waiting on one.
 //   update     O(m) plus O(nnz(alpha)) per column whose pivot-row entry is
 //              nonzero.
-//   factorize  O(m²) setup plus elimination over the nonzeros of each pivot
-//              row only; basis matrices are mostly slack unit columns.
+//   factorize  one scan per basis column, then elimination over the
+//              nonzeros of each pivot row only; basis matrices are mostly
+//              slack unit columns.
+// Diagonal bases — every column k nonzero only at row k, as the simplex's
+// crash basis of signed slack and artificial unit columns always is — skip
+// the elimination: factorize writes 1/b_kk straight onto a zeroed inverse,
+// and until the next update ftran and btran are one O(m) scaling pass.
 // Only exactly-zero terms are dropped, and every output element is formed by
 // the same operations in the same order as a plain dense row-major inverse,
 // so the results are bit-identical to it (tests/basis_test.cpp keeps that
@@ -34,7 +41,8 @@ class DenseBasis {
 
   /// Rebuilds the inverse from scratch. `writeColumn(k, col)` must fill
   /// `col` (size m, pre-zeroed) with the k-th basis column. Returns false if
-  /// the basis matrix is numerically singular (the inverse is then stale).
+  /// the basis matrix is numerically singular; the inverse is then garbage
+  /// until the next factorize() that succeeds.
   bool factorize(
       const std::function<void(int, std::vector<double>&)>& writeColumn);
 
@@ -56,19 +64,28 @@ class DenseBasis {
   int updatesSinceFactorize() const { return updates_; }
 
  private:
+  /// ftran/btran of a diagonal inverse; false (rhs untouched) when rhs
+  /// holds an inf or NaN, which the dense kernels must spread.
+  bool applyDiagonal(std::vector<double>& rhs) const;
+
   int m_;
   std::vector<double> inv_;  ///< column-major m×m
+  /// Set by a factorize() that found B diagonal, cleared by update() and
+  /// every other factorize(); invDiagonal_ then holds the diagonal of inv_.
+  bool diagonal_ = false;
+  std::vector<double> invDiagonal_;  ///< also factorize's copy of diag(B)
   // Reused work buffers: ftran/btran run once per simplex iteration and
   // factorize every few dozen pivots, so per-call vectors would dominate
   // the solver's allocation count. The index lists are reserved to m in the
   // constructor and never grow.
-  mutable std::vector<double> scratch_;   ///< ftran/btran output
-  mutable std::vector<int> nonzeros_;     ///< btran/update input nonzeros;
-                                          ///< factorize: pivot row of B
+  mutable std::vector<double> scratch_;   ///< ftran/btran output;
+                                          ///< factorize: one basis column,
+                                          ///< then one column of B^{-1}
+  mutable std::vector<int> nonzeros_;     ///< ftran/btran/update input
+                                          ///< nonzeros; factorize: one
+                                          ///< column, then pivot row of B
   std::vector<int> invNonzeros_;          ///< factorize: pivot row of B^{-1}
   std::vector<double> factorMat_;         ///< factorize: row-major B
-  std::vector<double> factorInv_;         ///< factorize: row-major B^{-1}
-  std::vector<double> factorCol_;         ///< factorize: one basis column
   std::vector<int> rowOrder_;             ///< factorize: pivot permutation
   int updates_ = 0;
 };

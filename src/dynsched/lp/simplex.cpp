@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "dynsched/lp/basis.hpp"
 #include "dynsched/lp/model.hpp"
@@ -35,6 +36,8 @@ constexpr int kBlandThreshold = 60;
 
 enum class VarStatus : std::uint8_t { Basic, AtLower, AtUpper, Free };
 
+}  // namespace
+
 /// Bounded-variable primal simplex with a classical two-phase start.
 ///
 /// Variable layout: [0, n) structural, [n, n+m) row slacks with the
@@ -44,17 +47,12 @@ enum class VarStatus : std::uint8_t { Basic, AtLower, AtUpper, Free };
 /// with every basis primal feasible, so a single standard ratio test serves
 /// both phases (no piecewise-linear composite machinery, which can stall at
 /// coordinate-stationary points).
-class Simplex {
+///
+/// One object serves every solve made through its LpWorkspace: each solve
+/// reinitializes what it reads, so only the buffers' capacity carries over.
+class LpWorkspace::Simplex {
  public:
-  Simplex(const LpModel& model, const SimplexOptions& options)
-      : model_(model),
-        cancel_(options.cancel),
-        n_(model.numVariables()),
-        m_(model.numRows()),
-        total_(n_ + 2 * model.numRows()),
-        basis_(std::max(1, model.numRows())) {}
-
-  LpSolution solve();
+  LpSolution solve(const LpModel& model, const SimplexOptions& options);
 
  private:
   bool isSlack(int var) const { return var >= n_ && var < n_ + m_; }
@@ -67,13 +65,13 @@ class Simplex {
   double upper(int var) const { return upper_[static_cast<std::size_t>(var)]; }
   double cost(int var, bool phase1) const {
     if (phase1) return isArtificial(var) ? 1.0 : 0.0;
-    return var < n_ ? model_.objectiveCoef(var) : 0.0;
+    return var < n_ ? model_->objectiveCoef(var) : 0.0;
   }
 
   /// Writes the dense constraint column of `var` into `out` (pre-zeroed).
   void writeColumn(int var, std::vector<double>& out) const {
     if (var < n_) {
-      for (const ColumnEntry& e : model_.column(var)) {
+      for (const ColumnEntry& e : model_->column(var)) {
         out[static_cast<std::size_t>(e.row)] += e.value;
       }
     } else if (isSlack(var)) {
@@ -106,10 +104,11 @@ class Simplex {
   void priceStructurals(const std::vector<double>& y);
   double phaseObjective(bool phase1) const;
 
-  const LpModel& model_;
-  util::CancelToken* cancel_;  ///< non-owning; may be null
-  int n_, m_, total_;
-  DenseBasis basis_;
+  // Set by each solve.
+  const LpModel* model_ = nullptr;
+  util::CancelToken* cancel_ = nullptr;  ///< non-owning; may be null
+  int n_ = 0, m_ = 0, total_ = 0;
+  std::optional<DenseBasis> basis_;  ///< rebuilt when the row count changes
 
   std::vector<VarStatus> status_;
   std::vector<int> basisVars_;
@@ -123,16 +122,23 @@ class Simplex {
   /// (fixed ones are left out): row r holds the entries [rowStart_[r],
   /// rowStart_[r + 1]) of rowCols_ / rowValues_, in ascending column order.
   /// Two arrays rather than one of {col, value} pairs: 12 bytes an entry
-  /// instead of 16 with padding, and this copy is made for every solve.
+  /// instead of 16 with padding.
   std::vector<int> rowStart_;
   std::vector<int> rowCols_;
   std::vector<double> rowValues_;
   std::vector<double> priced_;  ///< y^T A_j per structural column j
+  std::vector<double> y_;       ///< duals y = B^{-T} c_B
+  std::vector<double> alpha_;   ///< entering column B^{-1} a_q
   long refactorCount_ = 0;
 };
 
+LpWorkspace::LpWorkspace() : simplex_(std::make_unique<Simplex>()) {}
+LpWorkspace::~LpWorkspace() = default;
+
+using Simplex = LpWorkspace::Simplex;
+
 bool Simplex::refactorize() {
-  const bool ok = basis_.factorize([this](int k, std::vector<double>& col) {
+  const bool ok = basis_->factorize([this](int k, std::vector<double>& col) {
     writeColumn(basisVars_[static_cast<std::size_t>(k)], col);
   });
   if (ok) ++refactorCount_;
@@ -150,7 +156,7 @@ void Simplex::computeBasicValues() {
     const double value = nonbasicValue(var);
     if (value == 0.0) continue;
     if (var < n_) {
-      for (const ColumnEntry& e : model_.column(var)) {
+      for (const ColumnEntry& e : model_->column(var)) {
         rhs[static_cast<std::size_t>(e.row)] -= e.value * value;
       }
     } else if (isSlack(var)) {
@@ -161,7 +167,7 @@ void Simplex::computeBasicValues() {
           artificialSign_[static_cast<std::size_t>(r)] * value;
     }
   }
-  basis_.ftran(rhs);
+  basis_->ftran(rhs);
   xBasic_ = rhs;
 }
 
@@ -171,7 +177,7 @@ void Simplex::buildRowView() {
   rowStart_.assign(static_cast<std::size_t>(m_) + 1, 0);
   for (int j = 0; j < n_; ++j) {
     if (lower(j) == upper(j)) continue;
-    for (const ColumnEntry& e : model_.column(j)) {
+    for (const ColumnEntry& e : model_->column(j)) {
       ++rowStart_[static_cast<std::size_t>(e.row) + 1];
     }
   }
@@ -183,7 +189,7 @@ void Simplex::buildRowView() {
   rowValues_.resize(static_cast<std::size_t>(rowStart_.back()));
   for (int j = 0; j < n_; ++j) {
     if (lower(j) == upper(j)) continue;
-    for (const ColumnEntry& e : model_.column(j)) {
+    for (const ColumnEntry& e : model_->column(j)) {
       int& next = rowStart_[static_cast<std::size_t>(e.row)];
       const auto k = static_cast<std::size_t>(next++);
       rowCols_[k] = j;
@@ -233,7 +239,17 @@ double Simplex::phaseObjective(bool phase1) const {
   return total;
 }
 
-LpSolution Simplex::solve() {
+LpSolution Simplex::solve(const LpModel& model,
+                          const SimplexOptions& options) {
+  model_ = &model;
+  cancel_ = options.cancel;
+  n_ = model.numVariables();
+  m_ = model.numRows();
+  total_ = n_ + 2 * m_;
+  refactorCount_ = 0;
+  const int basisRows = std::max(1, m_);
+  if (!basis_ || basis_->size() != basisRows) basis_.emplace(basisRows);
+
   LpSolution result;
   if (cancel_ != nullptr && cancel_->injectLpFailure()) {
     // Deterministic fault injection: this solve "fails numerically".
@@ -244,8 +260,8 @@ LpSolution Simplex::solve() {
     // No constraints: every variable sits at its cheaper bound.
     result.x.assign(static_cast<std::size_t>(n_), 0.0);
     for (int j = 0; j < n_; ++j) {
-      const double c = model_.objectiveCoef(j);
-      const double l = model_.columnLower(j), u = model_.columnUpper(j);
+      const double c = model_->objectiveCoef(j);
+      const double l = model_->columnLower(j), u = model_->columnUpper(j);
       double v;
       if (c > 0) {
         v = l;
@@ -261,7 +277,7 @@ LpSolution Simplex::solve() {
       result.x[static_cast<std::size_t>(j)] = v;
     }
     result.status = LpStatus::Optimal;
-    result.objective = model_.objectiveValue(result.x);
+    result.objective = model_->objectiveValue(result.x);
     return result;
   }
 
@@ -270,12 +286,12 @@ LpSolution Simplex::solve() {
   lower_.assign(static_cast<std::size_t>(total_), 0.0);
   upper_.assign(static_cast<std::size_t>(total_), 0.0);
   for (int j = 0; j < n_; ++j) {
-    lower_[static_cast<std::size_t>(j)] = model_.columnLower(j);
-    upper_[static_cast<std::size_t>(j)] = model_.columnUpper(j);
+    lower_[static_cast<std::size_t>(j)] = model_->columnLower(j);
+    upper_[static_cast<std::size_t>(j)] = model_->columnUpper(j);
   }
   for (int r = 0; r < m_; ++r) {
-    lower_[static_cast<std::size_t>(n_ + r)] = model_.rowLower(r);
-    upper_[static_cast<std::size_t>(n_ + r)] = model_.rowUpper(r);
+    lower_[static_cast<std::size_t>(n_ + r)] = model_->rowLower(r);
+    upper_[static_cast<std::size_t>(n_ + r)] = model_->rowUpper(r);
   }
   buildRowView();
 
@@ -286,9 +302,9 @@ LpSolution Simplex::solve() {
   // signed artificial carries the (non-negative) residual.
   status_.assign(static_cast<std::size_t>(total_), VarStatus::AtLower);
   for (int j = 0; j < n_; ++j) {
-    if (model_.columnLower(j) > -kInf) {
+    if (model_->columnLower(j) > -kInf) {
       status_[static_cast<std::size_t>(j)] = VarStatus::AtLower;
-    } else if (model_.columnUpper(j) < kInf) {
+    } else if (model_->columnUpper(j) < kInf) {
       status_[static_cast<std::size_t>(j)] = VarStatus::AtUpper;
     } else {
       status_[static_cast<std::size_t>(j)] = VarStatus::Free;
@@ -303,7 +319,7 @@ LpSolution Simplex::solve() {
                          ? 0.0
                          : nonbasicValue(j);
     if (v == 0.0) continue;
-    for (const ColumnEntry& e : model_.column(j)) {
+    for (const ColumnEntry& e : model_->column(j)) {
       activity[static_cast<std::size_t>(e.row)] += e.value * v;
     }
   }
@@ -315,7 +331,7 @@ LpSolution Simplex::solve() {
     const int slackVar = n_ + r;
     const int artVar = n_ + m_ + r;
     const double act = activity[sr];
-    const double lb = model_.rowLower(r), ub = model_.rowUpper(r);
+    const double lb = model_->rowLower(r), ub = model_->rowUpper(r);
     if (act >= lb && act <= ub) {
       basisVars_[sr] = slackVar;
       status_[static_cast<std::size_t>(slackVar)] = VarStatus::Basic;
@@ -341,8 +357,10 @@ LpSolution Simplex::solve() {
   }
   computeBasicValues();
 
-  std::vector<double> y(static_cast<std::size_t>(m_));
-  std::vector<double> alpha(static_cast<std::size_t>(m_));
+  std::vector<double>& y = y_;
+  std::vector<double>& alpha = alpha_;
+  y.assign(static_cast<std::size_t>(m_), 0.0);
+  alpha.assign(static_cast<std::size_t>(m_), 0.0);
   int degenerateRun = 0;
   bool bland = false;
   bool phase1 = needPhase1;
@@ -354,7 +372,7 @@ LpSolution Simplex::solve() {
       result.status = LpStatus::Cancelled;
       return result;
     }
-    if (basis_.updatesSinceFactorize() >= kRefactorInterval) {
+    if (basis_->updatesSinceFactorize() >= kRefactorInterval) {
       if (!refactorize()) {
         result.status = LpStatus::NumericalFailure;
         return result;
@@ -376,7 +394,7 @@ LpSolution Simplex::solve() {
       y[static_cast<std::size_t>(i)] =
           cost(basisVars_[static_cast<std::size_t>(i)], phase1);
     }
-    basis_.btran(y);
+    basis_->btran(y);
     priceStructurals(y);
 
     int entering = -1;
@@ -430,7 +448,7 @@ LpSolution Simplex::solve() {
 
     std::fill(alpha.begin(), alpha.end(), 0.0);
     writeColumn(entering, alpha);
-    basis_.ftran(alpha);
+    basis_->ftran(alpha);
 
     // Ratio test: all basics are feasible; each blocks at the bound it
     // approaches. delta_i = −enterDir·α_i is the basic's change per unit t.
@@ -513,7 +531,7 @@ LpSolution Simplex::solve() {
     status_[static_cast<std::size_t>(leavingVar)] =
         (leavingTarget == lower(leavingVar)) ? VarStatus::AtLower
                                              : VarStatus::AtUpper;
-    basis_.update(alpha, leavingPos);
+    basis_->update(alpha, leavingPos);
 
     if (t < 1e-10) {
       if (++degenerateRun > kBlandThreshold) bland = true;
@@ -548,24 +566,27 @@ LpSolution Simplex::solve() {
           xBasic_[static_cast<std::size_t>(i)];
     }
   }
-  result.objective = model_.objectiveValue(result.x);
+  result.objective = model_->objectiveValue(result.x);
 
   for (int i = 0; i < m_; ++i) {
     y[static_cast<std::size_t>(i)] =
         cost(basisVars_[static_cast<std::size_t>(i)], /*phase1=*/false);
   }
-  basis_.btran(y);
+  basis_->btran(y);
   result.duals = y;
   result.refactorizations = refactorCount_;
   result.status = LpStatus::Optimal;
   return result;
 }
 
-}  // namespace
-
 LpSolution solveLp(const LpModel& model, const SimplexOptions& options) {
-  Simplex solver(model, options);
-  return solver.solve();
+  LpWorkspace workspace;
+  return solveLp(model, options, workspace);
+}
+
+LpSolution solveLp(const LpModel& model, const SimplexOptions& options,
+                   LpWorkspace& workspace) {
+  return workspace.simplex_->solve(model, options);
 }
 
 }  // namespace dynsched::lp

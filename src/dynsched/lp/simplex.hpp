@@ -23,6 +23,7 @@
 // "CPLEX substitute" (dynsched::mip); see DESIGN.md, substitutions.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -67,7 +68,32 @@ struct SimplexOptions {
   util::CancelToken* cancel = nullptr;
 };
 
+/// The storage a solve works in: the dense basis inverse and every
+/// per-variable and per-row array. Branch & bound re-solves one model at
+/// each node; handing all those solves one workspace allocates the buffers
+/// once (and again only when the row count changes) instead of per node.
+/// Results do not depend on what an earlier solve left behind. One solve
+/// at a time per workspace.
+class LpWorkspace {
+ public:
+  LpWorkspace();
+  ~LpWorkspace();
+  LpWorkspace(const LpWorkspace&) = delete;
+  LpWorkspace& operator=(const LpWorkspace&) = delete;
+
+  class Simplex;  ///< the solver and its buffers (simplex.cpp)
+
+ private:
+  friend LpSolution solveLp(const LpModel&, const SimplexOptions&,
+                            LpWorkspace&);
+  std::unique_ptr<Simplex> simplex_;
+};
+
 /// Solves `model` (minimization). The model is not modified.
 LpSolution solveLp(const LpModel& model, const SimplexOptions& options = {});
+
+/// Same, reusing the buffers of `workspace`.
+LpSolution solveLp(const LpModel& model, const SimplexOptions& options,
+                   LpWorkspace& workspace);
 
 }  // namespace dynsched::lp

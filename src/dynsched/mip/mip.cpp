@@ -106,6 +106,7 @@ class BranchAndBound {
   const MipOptions& opts_;
   lp::SimplexOptions nodeLpOptions_;  ///< lpOptions + the shared cancel token
   lp::LpModel work_;  ///< working copy whose bounds are rewritten per node
+  lp::LpWorkspace lpWorkspace_;  ///< buffers every node LP reuses
   std::vector<int> colGroup_;  ///< per column: branch-group index or -1
   int cutRoundsUsed_ = 0;
 
@@ -312,7 +313,8 @@ MipResult BranchAndBound::run() {
       result_.seconds = timer_.elapsedSeconds();
       return result_;
     }
-    const lp::LpSolution relax = lp::solveLp(work_, nodeLpOptions_);
+    const lp::LpSolution relax =
+        lp::solveLp(work_, nodeLpOptions_, lpWorkspace_);
     result_.lpIterations += relax.iterations;
     if (relax.status == lp::LpStatus::Infeasible) continue;
     if (relax.status == lp::LpStatus::Cancelled) {

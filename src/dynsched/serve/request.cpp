@@ -3,6 +3,7 @@
 #include <iomanip>
 #include <sstream>
 
+#include "dynsched/lp/model.hpp"
 #include "dynsched/util/error.hpp"
 #include "dynsched/util/journal.hpp"
 
@@ -179,7 +180,13 @@ std::string canonicalResponseText(const ScheduleResponse& response) {
   os << "stop " << util::cancelReasonName(response.stopReason) << '\n';
   os << "policy " << core::policyName(response.bestPolicy) << '\n';
   os << std::setprecision(12);
-  os << "gap " << response.gap << '\n';
+  os << "gap ";
+  if (response.gap >= lp::kInf) {
+    os << '-';  // policy fallback: no ILP incumbent, no gap
+  } else {
+    os << response.gap;
+  }
+  os << '\n';
   os << "timeScale " << response.timeScale << '\n';
   os << "policyValue " << response.policyValue << '\n';
   os << "solvedValue " << response.solvedValue << '\n';

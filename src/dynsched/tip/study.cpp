@@ -8,6 +8,7 @@
 
 #include "dynsched/analysis/audit.hpp"
 #include "dynsched/core/metrics.hpp"
+#include "dynsched/lp/model.hpp"
 #include "dynsched/util/error.hpp"
 #include "dynsched/util/logging.hpp"
 #include "dynsched/util/mutex.hpp"
@@ -457,8 +458,13 @@ std::string studyReportText(const std::vector<StudyRow>& rows,
        << " policyValue=" << row.policyValue
        << " ilpValue=" << row.ilpValue << " quality=" << row.quality
        << " perfLoss=" << row.perfLossPct
-       << " status=" << mip::mipStatusName(row.status) << " gap=" << row.gap
-       << " nodes=" << row.nodes << " lpCols=" << row.lpColumns
+       << " status=" << mip::mipStatusName(row.status) << " gap=";
+    if (row.gap >= lp::kInf) {
+      os << '-';  // policy fallback: no ILP incumbent, no gap
+    } else {
+      os << row.gap;
+    }
+    os << " nodes=" << row.nodes << " lpCols=" << row.lpColumns
        << " lpRows=" << row.lpRows << " rung=" << solveRungName(row.rung)
        << " stop=" << util::cancelReasonName(row.stopReason);
     if (includeTiming) os << " seconds=" << row.solveSeconds;

@@ -421,6 +421,163 @@ void runInLockstep(const ColumnPool& pool, util::Rng& rng, int pivots,
   EXPECT_EQ(done, pivots) << "pivot sequence stalled";
 }
 
+/// ftran and btran of both bases on sparse, dense and edge-case right-hand
+/// sides, compared bit for bit. The edge cases are −0 entries and a
+/// subnormal whose product with 1/4 underflows to −0: the dense sums end on
+/// +0 there.
+void expectKernelsMatch(const DenseBasis& fast, const ReferenceBasis& slow,
+                        util::Rng& rng, const std::string& what) {
+  const std::size_t m = static_cast<std::size_t>(fast.size());
+  std::vector<std::vector<double>> cases;
+  std::vector<double> sparse(m, 0.0);
+  for (std::size_t i = 0; i < m; i += 3) sparse[i] = rng.uniform(-9, 9);
+  cases.push_back(sparse);
+  std::vector<double> dense(m);
+  for (double& v : dense) v = rng.uniform(-5, 5);
+  cases.push_back(dense);
+  std::vector<double> edge(m, -0.0);
+  edge[0] = -4.9406564584124654e-324;
+  edge[m - 1] = 1.0;
+  cases.push_back(edge);
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    std::vector<double> f = cases[c], fRef = cases[c];
+    fast.ftran(f);
+    slow.ftran(fRef);
+    expectBitIdentical(f, fRef, what + " ftran case " + std::to_string(c));
+    std::vector<double> b = cases[c], bRef = cases[c];
+    fast.btran(b);
+    slow.btran(bRef);
+    expectBitIdentical(b, bRef, what + " btran case " + std::to_string(c));
+  }
+}
+
+/// Column k of a diagonal basis: `diag[k]` at row k.
+std::function<void(int, std::vector<double>&)> diagonalWriter(
+    const std::vector<double>& diag) {
+  return [&diag](int k, std::vector<double>& col) {
+    col[static_cast<std::size_t>(k)] = diag[static_cast<std::size_t>(k)];
+  };
+}
+
+TEST(BasisDiagonal, SignedUnitBasesMatchDenseReferenceThroughUpdates) {
+  // The simplex's crash basis: slacks −e_r and artificials ±e_r. Pivot away
+  // from it, refactorize a general basis, then return to a diagonal one.
+  util::Rng rng(7300);
+  for (const int m : {1, 5, 7, 13}) {
+    const std::string at = "m " + std::to_string(m);
+    std::vector<double> diag(static_cast<std::size_t>(m));
+    for (double& d : diag) d = rng.bernoulli(0.5) ? -1.0 : 1.0;
+    diag[0] = 4.0;  // 1/4 makes the subnormal edge case underflow
+    DenseBasis fast(m);
+    ReferenceBasis slow(m);
+    ASSERT_TRUE(fast.factorize(diagonalWriter(diag)));
+    ASSERT_TRUE(slow.factorize(diagonalWriter(diag)));
+    expectKernelsMatch(fast, slow, rng, "diagonal " + at);
+
+    std::vector<std::vector<double>> columns;
+    for (int k = 0; k < m; ++k) {
+      std::vector<double> col(static_cast<std::size_t>(m), 0.0);
+      col[static_cast<std::size_t>(k)] = diag[static_cast<std::size_t>(k)];
+      columns.push_back(col);
+    }
+    for (int pivot = 0; pivot < m; ++pivot) {
+      std::vector<double> enter(static_cast<std::size_t>(m));
+      for (double& v : enter) v = rng.bernoulli(0.5) ? rng.uniform(-2, 2) : 0.0;
+      enter[static_cast<std::size_t>(pivot)] = 3.0;
+      std::vector<double> alpha = enter, alphaRef = enter;
+      fast.ftran(alpha);
+      slow.ftran(alphaRef);
+      expectBitIdentical(alpha, alphaRef, "entering ftran " + at);
+      fast.update(alpha, pivot);
+      slow.update(alphaRef, static_cast<std::size_t>(pivot));
+      columns[static_cast<std::size_t>(pivot)] = enter;
+      expectKernelsMatch(fast, slow, rng,
+                         "update " + std::to_string(pivot) + " " + at);
+    }
+    const auto general = [&columns](int k, std::vector<double>& col) {
+      col = columns[static_cast<std::size_t>(k)];
+    };
+    const bool ok = fast.factorize(general);
+    ASSERT_EQ(ok, slow.factorize(general)) << at;
+    if (ok) expectKernelsMatch(fast, slow, rng, "general " + at);
+    ASSERT_TRUE(fast.factorize(diagonalWriter(diag)));
+    ASSERT_TRUE(slow.factorize(diagonalWriter(diag)));
+    expectKernelsMatch(fast, slow, rng, "diagonal again " + at);
+  }
+}
+
+TEST(BasisDiagonal, NearZeroEntryIsSingular) {
+  util::Rng rng(7301);
+  const int m = 6;
+  std::vector<double> diag{-1.0, 1.0, -1.0, -1.0, 1.0, 2.0};
+  DenseBasis fast(m);
+  ReferenceBasis slow(m);
+  ASSERT_TRUE(fast.factorize(diagonalWriter(diag)));
+  std::vector<double> nearSingular = diag;
+  nearSingular[3] = 5e-12;
+  EXPECT_FALSE(fast.factorize(diagonalWriter(nearSingular)));
+  EXPECT_FALSE(slow.factorize(diagonalWriter(nearSingular)));
+  nearSingular[3] = -5e-12;
+  EXPECT_FALSE(fast.factorize(diagonalWriter(nearSingular)));
+  // The next factorization that succeeds makes the basis usable again.
+  ASSERT_TRUE(fast.factorize(diagonalWriter(diag)));
+  ASSERT_TRUE(slow.factorize(diagonalWriter(diag)));
+  expectKernelsMatch(fast, slow, rng, "after singular");
+}
+
+TEST(BasisDiagonal, NonFiniteRhsSpreadsLikeTheDenseSums) {
+  // 0 · inf is NaN, so every dense sum that meets the inf turns NaN.
+  const std::vector<double> diag{-1.0, 1.0, -1.0};
+  DenseBasis fast(3);
+  ReferenceBasis slow(3);
+  ASSERT_TRUE(fast.factorize(diagonalWriter(diag)));
+  ASSERT_TRUE(slow.factorize(diagonalWriter(diag)));
+  const std::vector<double> rhs{1.0, HUGE_VAL, 2.0};
+  std::vector<double> f = rhs, fRef = rhs;
+  fast.ftran(f);
+  slow.ftran(fRef);
+  expectBitIdentical(f, fRef, "ftran");
+  EXPECT_TRUE(std::isnan(f[0]));
+  std::vector<double> b = rhs, bRef = rhs;
+  fast.btran(b);
+  slow.btran(bRef);
+  expectBitIdentical(b, bRef, "btran");
+}
+
+TEST(BasisBitIdentity, TailsOfTheFourWidePassesMatchDenseReference) {
+  // Sizes and rhs nonzero counts that are not multiples of four exercise
+  // the one-at-a-time tails of ftran (over rhs nonzeros) and btran (over
+  // output columns).
+  util::Rng rng(7302);
+  for (int m = 1; m <= 11; ++m) {
+    const ColumnPool pool = ColumnPool::denseRandom(rng, m, m);
+    const auto writer = [&pool, m](int k, std::vector<double>& col) {
+      col = pool.columns[static_cast<std::size_t>(m + k)];
+    };
+    DenseBasis fast(m);
+    ReferenceBasis slow(m);
+    const bool ok = fast.factorize(writer);
+    ASSERT_EQ(ok, slow.factorize(writer)) << "m " << m;
+    if (!ok) continue;
+    for (int nnz = 1; nnz <= m; ++nnz) {
+      std::vector<double> rhs(static_cast<std::size_t>(m), 0.0);
+      for (int k = 0; k < nnz; ++k) {
+        rhs[static_cast<std::size_t>((k * 5) % m)] = rng.uniform(-3, 3);
+      }
+      const std::string at =
+          "m " + std::to_string(m) + " nnz " + std::to_string(nnz);
+      std::vector<double> f = rhs, fRef = rhs;
+      fast.ftran(f);
+      slow.ftran(fRef);
+      expectBitIdentical(f, fRef, "ftran " + at);
+      std::vector<double> b = rhs, bRef = rhs;
+      fast.btran(b);
+      slow.btran(bRef);
+      expectBitIdentical(b, bRef, "btran " + at);
+    }
+  }
+}
+
 class BasisBitIdentityTest : public ::testing::TestWithParam<std::uint64_t> {
 };
 

@@ -500,6 +500,32 @@ TEST_P(SimplexEqualityTest, PivotPathIsPinned) {
 }
 
 
+TEST(LpWorkspace, ReuseGivesTheSameResultsAsFreshSolves) {
+  // One workspace through every random instance, so the row and column
+  // counts grow and shrink between solves, then the same instances again
+  // in reverse: each result must equal a fresh solve to the bit.
+  std::vector<RandomLpCase> cases = randomLpCases();
+  const std::size_t forward = cases.size();
+  cases.insert(cases.end(), cases.rbegin(), cases.rend());
+  LpWorkspace workspace;
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    std::vector<double> point;
+    const LpModel m = randomLp(cases[c], point);
+    const LpSolution fresh = solveLp(m);
+    const LpSolution reused = solveLp(m, {}, workspace);
+    const std::string what = "seed " + std::to_string(cases[c].seed) +
+                             (c < forward ? " forward" : " reverse");
+    ASSERT_EQ(reused.status, fresh.status) << what;
+    EXPECT_EQ(reused.iterations, fresh.iterations) << what;
+    EXPECT_EQ(reused.refactorizations, fresh.refactorizations) << what;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(reused.objective),
+              std::bit_cast<std::uint64_t>(fresh.objective))
+        << what;
+    EXPECT_EQ(reused.x, fresh.x) << what;
+    EXPECT_EQ(reused.duals, fresh.duals) << what;
+  }
+}
+
 TEST(Simplex, CancelDeadlineNowStopsBeforeFirstPivot) {
   // The deadline is polled at the head of every iteration, so an already
   // expired deadline is honored with zero pivots — the guaranteed overshoot

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "dynsched/lp/model.hpp"
 #include "dynsched/serve/client.hpp"
 #include "dynsched/serve/frame.hpp"
 #include "dynsched/serve/net_socket.hpp"
@@ -222,6 +223,20 @@ TEST(ServeCodec, CanonicalTextExcludesTimingAndTheCacheBit) {
   EXPECT_NE(text.find("status overloaded"), std::string::npos);
   EXPECT_NE(text.find("queue full"), std::string::npos);
   EXPECT_EQ(text.find("rung"), std::string::npos);
+}
+
+TEST(ServeCodec, CanonicalTextPrintsNoGapForThePolicyFallback) {
+  // The policy-fallback rung has no ILP incumbent and stores gap = kInf.
+  ScheduleResponse response;
+  response.status = ResponseStatus::Ok;
+  response.rung = tip::SolveRung::PolicyFallback;
+  response.gap = lp::kInf;
+  std::string text = canonicalResponseText(response);
+  EXPECT_NE(text.find("\ngap -\n"), std::string::npos) << text;
+  EXPECT_EQ(text.find("1e+30"), std::string::npos) << text;
+  response.gap = 0.125;
+  text = canonicalResponseText(response);
+  EXPECT_NE(text.find("\ngap 0.125\n"), std::string::npos) << text;
 }
 
 TEST(ServeCodec, HealthStatsRoundTrip) {

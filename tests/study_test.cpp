@@ -10,6 +10,7 @@
 
 #include "dynsched/tip/tim_model.hpp"
 #include "dynsched/analysis/audit.hpp"
+#include "dynsched/lp/model.hpp"
 #include "dynsched/sim/simulator.hpp"
 #include "dynsched/tip/exact.hpp"
 #include "dynsched/tip/study.hpp"
@@ -159,6 +160,21 @@ StudyOptions deterministicOptions() {
   options.mip.timeLimitSeconds = 900;
   options.mip.maxNodes = 300;
   return options;
+}
+
+TEST(Study, ReportPrintsNoGapForThePolicyFallback) {
+  // The policy-fallback rung has no ILP incumbent and stores gap = kInf;
+  // the report shows "-" rather than a number that reads like a gap.
+  StudyRow fallback;
+  fallback.rung = SolveRung::PolicyFallback;
+  fallback.gap = lp::kInf;
+  StudyRow solved;
+  solved.gap = 0.25;
+  const std::string text = studyReportText({fallback, solved});
+  EXPECT_NE(text.find("row 0 "), std::string::npos);
+  EXPECT_NE(text.find(" gap=- "), std::string::npos) << text;
+  EXPECT_NE(text.find(" gap=0.25 "), std::string::npos) << text;
+  EXPECT_EQ(text.find("1e+30"), std::string::npos) << text;
 }
 
 TEST(StudyJournal, RowPayloadRoundTripsEveryField) {
